@@ -105,6 +105,7 @@ def enhance(signal, weights: WeightSet, cfg: UNetConfig, stft_cfg: StftConfig,
             if out is not None:
                 _store(grids, t - la, out)
                 emitted += 1
+        del state  # its packed decoder weights would sit on the mask-assembly peak
     else:
         tensor = features_to_tensor(feats, cfg, weights.dtype)
         for target in range(t0 - 1 - la, n_frames - la):

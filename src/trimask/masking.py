@@ -115,12 +115,13 @@ def gumbel_sign(q0, q1, cfg: GumbelConfig = GumbelConfig()):
     return np.where(q0 > q1, -1.0, 1.0)
 
 
-def phase_factors(mag_k, mag_notk, xi):
+def phase_factors(mag_k, mag_notk):
     """Law-of-cosines phase terms for both halves of a mask pair.
 
     cos(dtheta_k) = (1 + mag_k^2 - mag_notk^2) / (2 mag_k), clamped to
-    [-1, 1]; sin is the nonnegative root. The source-k factor rotates by
-    +xi, the complement by -xi, closing the triangle. Sides below EPS_DEG
+    [-1, 1]; sin is the nonnegative root. The caller applies the rotation
+    sign: +xi on the source-k factor, -xi on the complement, closing the
+    triangle. Sides below EPS_DEG
     degenerate to (cos, sin) = (1, 0).
     """
     mag_k = np.asarray(mag_k, dtype=np.float64)
@@ -143,7 +144,7 @@ def assemble_masks(logits: MaskLogits, cfg: GumbelConfig = GumbelConfig()) -> Ph
     """Compose magnitudes, sign selection and phase factors into complex masks."""
     mag_k, mag_notk, beta = magnitude_masks(logits)
     xi = gumbel_sign(logits.q0, logits.q1, cfg)
-    cos_dk, sin_dk, cos_dnotk, sin_dnotk = phase_factors(mag_k, mag_notk, xi)
+    cos_dk, sin_dk, cos_dnotk, sin_dnotk = phase_factors(mag_k, mag_notk)
     mask_k = mag_k * (cos_dk + 1j * xi * sin_dk)
     mask_notk = mag_notk * (cos_dnotk - 1j * xi * sin_dnotk)
     return PhmMaskField(

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .unet import UNetConfig, WeightSet, HEAD_CHANNELS, leaky, split_head_frame
+from .unet import (HEAD_CHANNELS, UNetConfig, WeightSet, conv_transposed_valid, conv_valid,
+                   leaky, split_head_frame, validate_weights)
 
 
 def required_queues(cfg: UNetConfig, depth: int) -> int:
@@ -39,6 +40,7 @@ def required_queues(cfg: UNetConfig, depth: int) -> int:
 class _DecoderStep:
     """One decoder layer's per-push work: output frames and their real taps."""
     layer: int                 # 1-based decoder layer
+    inputs: tuple              # window indices of the input frames, ascending
     out_frames: tuple          # window indices of frames to compute
     taps: tuple                # per out frame: tuple of (in_idx, kernel_tap)
     skip_level: int            # encoder level providing the concat half (0 = none)
@@ -77,7 +79,6 @@ class StreamPlan:
             for spec in cfg.decoder:
                 dec_T.append((dec_T[-1] - 1) * spec.stride_t + spec.kernel_t)
             assert dec_T[L] == t0
-            self.dec_T = dec_T
 
             needed = {cfg.target_index}
             rev_steps = []
@@ -97,15 +98,12 @@ class StreamPlan:
                     taps.append(row)
                     need_in.update(q for q, _ in row)
                 skip_level = L - j + 1 if j >= 2 else 0
-                if skip_level:
-                    enc_needs[skip_level].update(need_in)
-                else:
-                    enc_needs[L].update(need_in)
-                rev_steps.append(_DecoderStep(layer=j, out_frames=out_frames,
-                                              taps=tuple(taps), skip_level=skip_level))
+                enc_needs[skip_level or L].update(need_in)
+                rev_steps.append(_DecoderStep(layer=j, inputs=tuple(sorted(need_in)),
+                                              out_frames=out_frames, taps=tuple(taps),
+                                              skip_level=skip_level))
                 needed = need_in
             self.steps = list(reversed(rev_steps))
-            self.bottleneck_frames = tuple(sorted(needed))
 
         # ring capacities: newest frame of level l sits delta[l] behind the
         # push; capacity covers the oldest slot any consumer asks for
@@ -166,8 +164,6 @@ class StreamState:
     """
 
     def __init__(self, cfg: UNetConfig, weights: WeightSet, plan: StreamPlan | None = None):
-        from .unet import validate_weights
-
         validate_weights(cfg, weights)
         self.cfg = cfg
         self.weights = weights
@@ -180,45 +176,46 @@ class StreamState:
         self.frames_ingested = 0
         self.emitted_count = 0
         self.op_counter = {name: 0 for name in cfg.layer_names()}
-        # decoder frame windows from the latest push; scratch, not reusable:
-        # edge-truncated values change as the window advances
-        self.decoder_frames = [{} for _ in cfg.decoder]
+        # per decoder step, per output frame: (first input row, rows, weight view)
+        self.dec_taps = [_pack_decoder(step, weights[f"dec{step.layer}.weight"],
+                                       cfg.decoder[step.layer - 1].stride_t)
+                         for step in self.plan.steps]
 
     def queue_depths(self):
         """Logical stride-phase queue count per encoder depth."""
         return [required_queues(self.cfg, d) for d in range(1, self.cfg.depth + 1)]
 
 
+def _pack_decoder(step: _DecoderStep, w: np.ndarray, st: int) -> list:
+    """Per output frame of `step`, its contributor rows and a zero-copy
+    (O, n*C, kf, 1) weight view for :func:`conv_transposed_valid`.
+
+    The layer's weights are packed once as (kf, O, kt*C), with the temporal
+    taps grouped by residue mod `st` and descending within a group. An
+    output frame's taps share one residue and, ordered by ascending input
+    frame, are consecutive in that order, so each frame's weight is a slice.
+    """
+    O, C, kf, kt = w.shape
+    order = [tap for r in range(st) for tap in reversed(range(r, kt, st))]
+    packed = w[:, :, :, order].transpose(2, 0, 3, 1).reshape(kf, O, kt * C)
+    first_row = {q: i for i, q in enumerate(step.inputs)}
+    out = []
+    for row in step.taps:
+        pos, n = order.index(row[0][1]), len(row)
+        view = packed[:, :, pos * C : (pos + n) * C].transpose(1, 2, 0)[:, :, :, None]
+        out.append((first_row[row[0][0]], n, view))
+    return out
+
+
 def _encoder_step(state: StreamState, level: int, slot: int) -> np.ndarray:
     """Compute encoder `level`'s frame at absolute slot index `slot`."""
-    cfg = state.cfg
-    plan = state.plan
-    spec = cfg.encoder[level - 1]
-    w = state.weights[f"enc{level}.weight"]
-    b = state.weights[f"enc{level}.bias"]
-    kt = spec.kernel_t
+    spec = state.cfg.encoder[level - 1]
+    lattice = state.plan.lattice[level - 1]
     src = state.rings[level - 1]
-    frames = [src.get(slot + i * plan.lattice[level - 1]) for i in range(kt)]
-    x = np.stack(frames, axis=-1)  # (C, F, kt)
-    C, F, _ = x.shape
-    kf, sf = spec.kernel_f, spec.stride_f
-    Fo = (F - kf) // sf + 1
-    windows = np.lib.stride_tricks.sliding_window_view(x, kf, axis=1)[:, ::sf]  # (C, Fo, kt, kf)
-    cols = np.ascontiguousarray(windows.transpose(0, 3, 2, 1)).reshape(C * kf * kt, Fo)
-    y = (w.reshape(spec.out_ch, -1) @ cols)
-    y += b[:, None]
-    state.op_counter[f"enc{level}"] += spec.out_ch * C * kf * kt * Fo
-    return leaky(y, cfg.activation_slope)
-
-
-def _freq_transposed(v: np.ndarray, w_tap: np.ndarray, sf: int) -> np.ndarray:
-    """Frequency-axis transposed convolution of one frame for one temporal tap."""
-    O, C, kf = w_tap.shape
-    F = v.shape[1]
-    out = np.zeros((O, (F - 1) * sf + kf), dtype=v.dtype)
-    for i in range(kf):
-        out[:, i : i + (F - 1) * sf + 1 : sf] += w_tap[:, :, i] @ v
-    return out
+    x = np.stack([src.get(slot + i * lattice) for i in range(spec.kernel_t)], axis=-1)
+    y = conv_valid(x, state.weights[f"enc{level}.weight"], state.weights[f"enc{level}.bias"],
+                   spec.stride_f, 1, state.op_counter, f"enc{level}")
+    return leaky(y[:, :, 0], state.cfg.activation_slope)
 
 
 def _decode(state: StreamState, push_index: int):
@@ -227,33 +224,26 @@ def _decode(state: StreamState, push_index: int):
     w_start = push_index - (cfg.in_frames - 1)
     L = cfg.depth
 
-    frames = {q: state.rings[L].get(w_start + q * plan.lattice[L])
-              for q in plan.bottleneck_frames}
-    for step in plan.steps:
+    frames = np.stack([state.rings[L].get(w_start + q * plan.lattice[L])
+                       for q in plan.steps[0].inputs])
+    for step, taps in zip(plan.steps, state.dec_taps):
         spec = cfg.decoder[step.layer - 1]
-        w = state.weights[f"dec{step.layer}.weight"]
-        b = state.weights[f"dec{step.layer}.bias"]
-        skip_ring = state.rings[step.skip_level] if step.skip_level else None
-        skip_lattice = plan.lattice[step.skip_level] if step.skip_level else 0
-        out = {}
-        tally = 0
-        for p, row in zip(step.out_frames, step.taps):
-            acc = None
-            for q, tap in row:
-                v = frames[q]
-                if skip_ring is not None:
-                    v = np.concatenate([v, skip_ring.get(w_start + q * skip_lattice)], axis=0)
-                w_tap = w[:, :, :, tap]
-                term = _freq_transposed(v, w_tap, spec.stride_f)
-                tally += w_tap.shape[0] * v.shape[0] * w_tap.shape[2] * v.shape[1]
-                acc = term if acc is None else acc + term
-            acc += b[:, None]
-            out[p] = leaky(acc, cfg.activation_slope)
-        state.op_counter[f"dec{step.layer}"] += tally
-        state.decoder_frames[step.layer - 1] = out
+        name = f"dec{step.layer}"
+        b = state.weights[f"{name}.bias"]
+        if step.skip_level:
+            ring, lattice = state.rings[step.skip_level], plan.lattice[step.skip_level]
+            skips = np.stack([ring.get(w_start + q * lattice) for q in step.inputs])
+            frames = np.concatenate([frames, skips], axis=1)
+        _, C, F = frames.shape
+        out = np.empty((len(taps), spec.out_ch, (F - 1) * spec.stride_f + spec.kernel_f),
+                       dtype=frames.dtype)
+        for k, (a, n, w) in enumerate(taps):
+            x = frames[a : a + n].reshape(n * C, F, 1)
+            y = conv_transposed_valid(x, w, b, spec.stride_f, 1, state.op_counter, name)
+            out[k] = leaky(y[:, :, 0], cfg.activation_slope)
         frames = out
 
-    final = frames[cfg.target_index]
+    final = frames[0]  # the last step computes only the target frame
     hw = state.weights["head.weight"]
     logits = hw.reshape(cfg.head_channels, -1) @ final
     logits += state.weights["head.bias"][:, None]

@@ -16,6 +16,8 @@ def as_samples(signal) -> np.ndarray:
     arr = np.asarray(signal, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError(f"expected mono 1-D signal, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("signal contains non-finite values")
     return arr
 
 

@@ -291,6 +291,8 @@ def load_weights(path, cfg: UNetConfig | None = None) -> WeightSet:
         dims = struct.unpack(f"<{rank}I", take(4 * rank))
         n_items = int(np.prod(dims)) if rank else 1
         arr = np.frombuffer(take(4 * n_items), dtype="<f4").reshape(dims)
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"non-finite values in tensor {name} of weight file {path}")
         tensors[name] = arr.astype(np.float32)
     ws = WeightSet(tensors, provenance=f"file:{path}")
     if cfg is not None:

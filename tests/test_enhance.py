@@ -130,6 +130,20 @@ def test_enhance_rejects_unknown_mode(rt_setup):
         enhance(np.zeros(8000), random_weights(cfg, 0), cfg, stft_cfg, mode="batch")
 
 
+def test_enhance_rejects_non_finite_signal_before_stft(rt_setup, monkeypatch):
+    import trimask.spectral
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("spectral.stft reached with a non-finite signal")
+
+    stft_cfg, cfg = rt_setup
+    monkeypatch.setattr(trimask.spectral, "stft", unreachable)
+    x = _band_limited_signal(6, n=8000)
+    x[4000] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        enhance(x, random_weights(cfg, 0), cfg, stft_cfg)
+
+
 def test_oracle_reconstruction_high_si_sdr():
     stft_cfg = RT_PRESET
     guard = stft_cfg.window_size

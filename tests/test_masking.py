@@ -83,7 +83,7 @@ def test_gumbel_config_validation():
 
 def test_phase_factors_equilateral():
     one = np.ones((1, 1))
-    cos_dk, sin_dk, cos_dnotk, sin_dnotk = phase_factors(one, one, one)
+    cos_dk, sin_dk, cos_dnotk, sin_dnotk = phase_factors(one, one)
     assert cos_dk[0, 0] == pytest.approx(0.5, abs=1e-15)
     assert cos_dnotk[0, 0] == pytest.approx(0.5, abs=1e-15)
     total = 1.0 * (cos_dk + 1j * sin_dk) + 1.0 * (cos_dnotk - 1j * sin_dnotk)
@@ -93,7 +93,7 @@ def test_phase_factors_equilateral():
 def test_phase_factors_3_4_5_triangle():
     a = np.full((1, 1), 0.6)
     b = np.full((1, 1), 0.8)
-    cos_dk, sin_dk, cos_dnotk, sin_dnotk = phase_factors(a, b, np.ones((1, 1)))
+    cos_dk, sin_dk, cos_dnotk, sin_dnotk = phase_factors(a, b)
     assert cos_dk[0, 0] == pytest.approx(0.6, abs=1e-12)
     assert cos_dnotk[0, 0] == pytest.approx(0.8, abs=1e-12)
     total = 0.6 * (cos_dk[0, 0] + 1j * sin_dk[0, 0]) + 0.8 * (cos_dnotk[0, 0] - 1j * sin_dnotk[0, 0])
@@ -102,7 +102,7 @@ def test_phase_factors_3_4_5_triangle():
 
 def test_phase_factors_collinear_degenerate():
     cos_dk, sin_dk, cos_dnotk, sin_dnotk = phase_factors(
-        np.ones((1, 1)), np.zeros((1, 1)), np.ones((1, 1)))
+        np.ones((1, 1)), np.zeros((1, 1)))
     assert cos_dk[0, 0] == 1.0 and sin_dk[0, 0] == 0.0
     assert cos_dnotk[0, 0] == 1.0 and sin_dnotk[0, 0] == 0.0
 

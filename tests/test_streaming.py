@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from trimask import (ConvSpec, UNetConfig, default_config, naive_infer,
-                     random_weights, required_queues)
+from trimask import (ConvSpec, UNetConfig, count_ops, default_config, measured_ops,
+                     naive_infer, random_weights, required_queues)
 from trimask.streaming import StreamPlan, StreamState, stream_push
 
 FIELDS = ("z_k", "z_notk", "beta_logit", "q0", "q1")
@@ -227,6 +230,40 @@ def test_stream_matches_naive_on_varied_architectures(strides, kernels_t,
         worst = max(worst, _max_diff(out, naive_infer(window, w, cfg)))
     assert emissions == 12
     assert worst < 1e-10
+
+
+@st.composite
+def _random_mirrored_config(draw):
+    depth = draw(st.integers(1, 3))
+    strides = [draw(st.integers(1, 3)) for _ in range(depth)]
+    kernels_t = [draw(st.integers(s, 4)) for s in strides]
+    stride_f = draw(st.integers(1, 2))
+    cfg = _mirrored_config(strides, kernels_t, 0, bins=17 if stride_f == 1 else 61,
+                           stride_f=stride_f)
+    lookahead = draw(st.integers(0, cfg.in_frames - 1))
+    return dataclasses.replace(cfg, lookahead_frames=lookahead)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(cfg=_random_mirrored_config(), seed=st.integers(0, 2**16))
+def test_stream_matches_naive_and_counts_on_random_architectures(cfg, seed):
+    # every tap geometry: residue groups, edge-truncated frames, strided bins
+    w = random_weights(cfg, seed, dtype=np.float64)
+    feats = np.random.default_rng(seed).standard_normal((5, cfg.in_frames + 3, cfg.in_bins))
+    state = StreamState(cfg, w)
+    worst = 0.0
+    for t in range(feats.shape[1]):
+        out = stream_push(feats[:, t, :], state)
+        if out is not None:
+            window = feats[:, t - cfg.in_frames + 1 : t + 1, :]
+            worst = max(worst, _max_diff(out, naive_infer(window, w, cfg)))
+    assert state.emitted_count == 4
+    assert worst < 1e-10
+
+    naive_m, stream_m = measured_ops(cfg, seed=seed)
+    for layer in count_ops(cfg).layers:
+        assert naive_m[layer.name] == layer.naive_mults, layer.name
+        assert stream_m[layer.name] == layer.streaming_mults, layer.name
 
 
 def test_long_stream_ring_wraparound():

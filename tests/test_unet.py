@@ -240,6 +240,16 @@ def test_weights_shape_mismatch_names_layer(tmp_path):
         load_weights(path, cfg)
 
 
+def test_weights_non_finite_tensor_rejected_at_load(tmp_path):
+    cfg = default_config()
+    w = random_weights(cfg, 9)
+    w.tensors["dec4.bias"][3] = np.nan
+    path = tmp_path / "w.phmw"
+    save_weights(path, w)
+    with pytest.raises(ValueError, match="non-finite values in tensor dec4.bias"):
+        load_weights(path, cfg)
+
+
 def test_validate_weights_missing_tensor():
     cfg = default_config()
     w = random_weights(cfg, 9)
