@@ -4,7 +4,7 @@ The windowed (naive) backend recomputes a full forward pass over the
 65-frame analysis window for every emitted frame. The streaming backend
 keeps per-layer frame queues so each push computes one new frame per
 encoder layer plus the handful of decoder frames feeding the single output.
-Both produce identical logits.
+Both emit the same (10, bins) head frame.
 """
 
 import numpy as np
@@ -41,9 +41,7 @@ for t in range(80):
     emitted += 1
     window = feats[:, t - 64 : t + 1, :]
     ref = naive_infer(window, weights, cfg)
-    for a, b in zip(out, ref):
-        for f in ("z_k", "z_notk", "beta_logit", "q0", "q1"):
-            worst = max(worst, float(np.max(np.abs(getattr(a, f) - getattr(b, f)))))
+    worst = max(worst, float(np.max(np.abs(out - ref))))
 print(f"  {emitted} emissions, max |stream - windowed| = {worst:.2e}")
 print(f"  steady-state work per frame: {report.streaming_total:,} multiplications "
       f"vs {report.naive_total:,} naive "

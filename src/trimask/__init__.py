@@ -20,7 +20,7 @@ from .losses import (LossConfig, cos_sim_loss, emphasized_loss, final_loss,
 from .unet import (ConvSpec, UNetConfig, WeightSet, config_for_preset,
                    config_from_json_dict, config_to_json_dict, default_config,
                    fuse_batchnorm, load_weights, naive_infer, random_weights,
-                   save_weights, validate_weights)
+                   save_weights, split_head, validate_weights)
 from .streaming import StreamPlan, StreamState, required_queues, stream_push
 from .opcount import LayerOps, OpCountReport, count_ops, measured_ops
 from .simulate import (MixtureTruth, RirParams, ScenarioRanges, mix,

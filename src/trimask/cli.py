@@ -60,7 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench-ops", help="per-layer multiplication counts, naive vs streaming")
     p.add_argument("--config", default="default", help="UNetConfig JSON path or 'default'")
-    p.add_argument("--mode", choices=["naive", "streaming", "both"], default="both")
     p.add_argument("--no-measure", action="store_true",
                    help="skip the instrumented run (analytic table only)")
 
@@ -96,10 +95,9 @@ def _cmd_enhance(args) -> int:
         wavio.write_wav(comp_dir / "reverb.wav", result.reverb)
         wavio.write_wav(comp_dir / "noise.wav", result.noise)
     if args.emit_stats:
-        stats = result.op_report.to_json_dict()
-        stats["frames_total"] = result.frames_total
-        stats["frames_emitted"] = result.frames_emitted
-        stats["mode"] = result.mode
+        stats = {"mode": result.mode, **result.op_report.to_json_dict(),
+                 "frames_total": result.frames_total,
+                 "frames_emitted": result.frames_emitted}
         Path(args.emit_stats).write_text(json.dumps(stats, indent=2) + "\n")
     print(f"enhanced {args.input} -> {args.output} "
           f"({result.frames_emitted}/{result.frames_total} frames masked, {result.mode})")
@@ -148,7 +146,7 @@ def _cmd_bench_ops(args) -> int:
         cfg = config_for_preset(PRESETS["rt"])
     else:
         cfg = config_from_json_dict(json.loads(Path(args.config).read_text()))
-    report = count_ops(cfg, mode=args.mode)
+    report = count_ops(cfg)
     print(report.to_text())
     print(f"overall reduction: {100.0 * report.overall_reduction:.2f}% "
           f"(architecture-dependent)")

@@ -17,12 +17,11 @@ import numpy as np
 
 from . import spectral
 from .dynamics import DrcConfig, compress
-from .masking import (GumbelConfig, LOGIT_CLAMP, MaskLogits, assemble_masks,
-                      quadrangle_decompose, remix)
+from .masking import assemble_masks, quadrangle_decompose, remix
 from .opcount import OpCountReport, count_ops
 from .streaming import StreamState, stream_push
 from .types import SignalBuffer, as_samples
-from .unet import (UNetConfig, WeightSet, features_to_tensor, split_head_frame,
+from .unet import (IDENTITY_HEAD, UNetConfig, WeightSet, features_to_tensor, split_head,
                    unet_forward)
 from .spectral import StftConfig
 
@@ -41,41 +40,9 @@ class EnhanceResult:
     frames_emitted: int
 
 
-def _identity_logit_grids(n_frames: int, n_bins: int):
-    """Head-logit grids whose masks pass the mixture to the direct component."""
-    grids = np.zeros((10, n_frames, n_bins))
-    grids[0] = LOGIT_CLAMP    # direct z_k
-    grids[1] = -LOGIT_CLAMP   # direct z_notk
-    grids[2] = -LOGIT_CLAMP   # direct beta_logit -> beta = 1
-    grids[4] = 1.0            # direct q1 (xi = +1)
-    grids[5] = -LOGIT_CLAMP   # noise z_k -> sigma = 0
-    grids[6] = LOGIT_CLAMP
-    grids[7] = -LOGIT_CLAMP
-    grids[9] = 1.0
-    return grids
-
-
-def _store(grids: np.ndarray, t: int, pair) -> None:
-    logits_d, logits_n = pair
-    for base, lg in ((0, logits_d), (5, logits_n)):
-        grids[base + 0, t] = lg.z_k[0]
-        grids[base + 1, t] = lg.z_notk[0]
-        grids[base + 2, t] = lg.beta_logit[0]
-        grids[base + 3, t] = lg.q0[0]
-        grids[base + 4, t] = lg.q1[0]
-
-
-def _grids_to_pair(grids: np.ndarray):
-    def pair(base):
-        return MaskLogits(z_k=grids[base], z_notk=grids[base + 1],
-                          beta_logit=grids[base + 2], q0=grids[base + 3],
-                          q1=grids[base + 4])
-    return pair(0), pair(5)
-
-
 def enhance(signal, weights: WeightSet, cfg: UNetConfig, stft_cfg: StftConfig,
             mode: str = "causal-stream", reverb_gain_db: float = -15.0,
-            gumbel: GumbelConfig = GumbelConfig(), drc: DrcConfig | None = None) -> EnhanceResult:
+            drc: DrcConfig | None = None) -> EnhanceResult:
     """Separate a 16 kHz mixture into direct/reverb/noise estimates and a remix.
 
     The three component estimates always sum to the engine's front-end round
@@ -92,7 +59,8 @@ def enhance(signal, weights: WeightSet, cfg: UNetConfig, stft_cfg: StftConfig,
     if feats.bin_count != cfg.in_bins:
         raise ValueError(f"config expects {cfg.in_bins} bins, features have {feats.bin_count}")
 
-    grids = _identity_logit_grids(n_frames, cfg.in_bins)
+    # head logits per frame; frames the backend never emits keep identity masks
+    grids = np.tile(IDENTITY_HEAD[:, None, None], (1, n_frames, cfg.in_bins))
     la = cfg.lookahead_frames
     t0 = cfg.in_frames
     emitted = 0
@@ -101,24 +69,21 @@ def enhance(signal, weights: WeightSet, cfg: UNetConfig, stft_cfg: StftConfig,
         state = StreamState(cfg, weights)
         frames = feats.channels.transpose(0, 2, 1)  # (C, F, T)
         for t in range(n_frames):
-            out = stream_push(frames[:, :, t], state)
-            if out is not None:
-                _store(grids, t - la, out)
+            head = stream_push(frames[:, :, t], state)
+            if head is not None:
+                grids[:, t - la] = head
                 emitted += 1
         del state  # its packed decoder weights would sit on the mask-assembly peak
     else:
         tensor = features_to_tensor(feats, cfg, weights.dtype)
         for target in range(t0 - 1 - la, n_frames - la):
             window = tensor[:, :, target + la - (t0 - 1) : target + la + 1]
-            if window.shape[2] != t0:
-                break
-            logits = unet_forward(window, weights, cfg)
-            _store(grids, target, split_head_frame(logits[:, :, cfg.target_index]))
+            grids[:, target] = unet_forward(window, weights, cfg)[:, :, cfg.target_index]
             emitted += 1
 
-    logits_d, logits_n = _grids_to_pair(grids)
-    field_d = assemble_masks(logits_d, gumbel)
-    field_n = assemble_masks(logits_n, gumbel)
+    logits_d, logits_n = split_head(grids)
+    field_d = assemble_masks(logits_d)
+    field_n = assemble_masks(logits_n)
     y_d, y_r, y_n = quadrangle_decompose(spec, field_d, field_n)
 
     n = stft_cfg.discard_low_bins

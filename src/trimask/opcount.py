@@ -19,8 +19,6 @@ import numpy as np
 from .streaming import StreamPlan, StreamState, stream_push
 from .unet import HEAD_CHANNELS, UNetConfig, random_weights, unet_forward
 
-_MODES = ("naive", "streaming", "both")
-
 
 @dataclass(frozen=True)
 class LayerOps:
@@ -38,7 +36,6 @@ class LayerOps:
 @dataclass
 class OpCountReport:
     layers: list
-    mode: str = "both"
 
     @property
     def naive_total(self) -> int:
@@ -65,7 +62,6 @@ class OpCountReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "mode": self.mode,
             "layers": [
                 {"name": l.name, "naive_mults": l.naive_mults,
                  "streaming_mults": l.streaming_mults, "reduction": l.reduction}
@@ -80,10 +76,8 @@ class OpCountReport:
         return json.dumps(self.to_json_dict(), indent=2)
 
 
-def count_ops(cfg: UNetConfig, mode: str = "both") -> OpCountReport:
-    """Per-layer multiplication counts for one emitted frame in each mode."""
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
+def count_ops(cfg: UNetConfig) -> OpCountReport:
+    """Per-layer multiplication counts for one emitted frame, naive and streaming."""
     plan = StreamPlan(cfg)
     enc_shapes = cfg.encoder_shapes()
     dec_shapes = cfg.decoder_shapes()
@@ -108,7 +102,7 @@ def count_ops(cfg: UNetConfig, mode: str = "both") -> OpCountReport:
             hf, ht = enc_shapes[-1]
         layers.append(LayerOps("head", naive_mults=cfg.head_channels * head_in * hf * ht,
                                streaming_mults=plan.head_mults))
-    return OpCountReport(layers=layers, mode=mode)
+    return OpCountReport(layers=layers)
 
 
 def measured_ops(cfg: UNetConfig, seed: int = 0):

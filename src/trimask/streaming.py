@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .unet import (HEAD_CHANNELS, UNetConfig, WeightSet, conv_transposed_valid, conv_valid,
-                   leaky, split_head_frame, validate_weights)
+                   leaky, validate_weights)
 
 
 def required_queues(cfg: UNetConfig, depth: int) -> int:
@@ -252,9 +252,9 @@ def _decode(state: StreamState, push_index: int):
 
 
 def stream_push(frame: np.ndarray, state: StreamState):
-    """Ingest one feature frame (in_channels, bins); returns the
-    (direct, noise) MaskLogits for frame n - lookahead once the first full
-    analysis window exists, else None."""
+    """Ingest one feature frame (in_channels, bins); returns the (10, bins)
+    head frame for frame n - lookahead, in the weights' dtype, once the
+    first full analysis window exists, else None."""
     cfg = state.cfg
     plan = state.plan
     frame = np.asarray(frame, dtype=state.weights.dtype)
@@ -271,6 +271,6 @@ def stream_push(frame: np.ndarray, state: StreamState):
 
     if not plan.steps or n < plan.warmup - 1:
         return None
-    logits = _decode(state, n)
+    head = _decode(state, n)
     state.emitted_count += 1
-    return split_head_frame(logits)
+    return head

@@ -14,10 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .masking import MaskLogits
+from .masking import LOGIT_CLAMP, MaskLogits
 from .types import FeatureStack
 
 HEAD_CHANNELS = 10  # 2 mask pairs x (z_k, z_notk, beta_logit, q0, q1)
+
+# Head logits whose masks pass the mixture through: direct sigma = 1,
+# beta = 1, xi = +1; noise sigma = 0.
+IDENTITY_HEAD = np.array([LOGIT_CLAMP, -LOGIT_CLAMP, -LOGIT_CLAMP, 0.0, 1.0,
+                          -LOGIT_CLAMP, LOGIT_CLAMP, -LOGIT_CLAMP, 0.0, 1.0])
 
 _MAGIC = b"PHMW"
 _VERSION = 1
@@ -389,15 +394,12 @@ def unet_forward(x: np.ndarray, weights: WeightSet, cfg: UNetConfig,
     return logits
 
 
-def split_head_frame(frame: np.ndarray):
-    """Split a (10, F) head frame into the direct and noise MaskLogits (1 x F grids)."""
-    def pair(base):
-        return MaskLogits(z_k=frame[base][None, :].astype(np.float64),
-                          z_notk=frame[base + 1][None, :].astype(np.float64),
-                          beta_logit=frame[base + 2][None, :].astype(np.float64),
-                          q0=frame[base + 3][None, :].astype(np.float64),
-                          q1=frame[base + 4][None, :].astype(np.float64))
-    return pair(0), pair(5)
+def split_head(head: np.ndarray):
+    """Split (10, T, F) head logits into the direct and noise MaskLogits,
+    each field a view of one channel (channel order = MaskLogits fields)."""
+    if head.shape[0] != HEAD_CHANNELS:
+        raise ValueError(f"expected {HEAD_CHANNELS} head channels, got {head.shape[0]}")
+    return MaskLogits(*head[:5]), MaskLogits(*head[5:])
 
 
 def features_to_tensor(features, cfg: UNetConfig, dtype) -> np.ndarray:
@@ -411,12 +413,12 @@ def features_to_tensor(features, cfg: UNetConfig, dtype) -> np.ndarray:
 
 
 def naive_infer(features, weights: WeightSet, cfg: UNetConfig, counter=None):
-    """Whole-window forward pass; returns the two MaskLogits for the frame
-    at window position in_frames - 1 - lookahead_frames."""
+    """Whole-window forward pass; returns the (10, F) head frame at window
+    position in_frames - 1 - lookahead_frames, in the weights' dtype."""
     if cfg.head_channels != HEAD_CHANNELS or not cfg.decoder:
         raise ValueError("inference needs a mirrored decoder and a 10-channel head")
     x = features_to_tensor(features, cfg, weights.dtype)
     if x.shape[2] != cfg.in_frames:
         raise ValueError(f"expected {cfg.in_frames} frames, got {x.shape[2]}")
     logits = unet_forward(x, weights, cfg, counter)
-    return split_head_frame(logits[:, :, cfg.target_index])
+    return logits[:, :, cfg.target_index]

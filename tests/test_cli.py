@@ -212,7 +212,7 @@ def test_metrics_20db_orthogonal_pair(tmp_path, capsys):
 
 
 def test_bench_ops_default(capsys):
-    rc = main(["bench-ops", "--mode", "both"])
+    rc = main(["bench-ops"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "overall reduction: 95." in out

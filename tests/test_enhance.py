@@ -144,6 +144,29 @@ def test_enhance_rejects_non_finite_signal_before_stft(rt_setup, monkeypatch):
         enhance(x, random_weights(cfg, 0), cfg, stft_cfg)
 
 
+@pytest.mark.parametrize("mode", ["causal-stream", "noncausal-window"])
+def test_enhance_rejects_non_finite_head_logits(rt_setup, monkeypatch, mode):
+    import trimask.masking
+
+    stft_cfg, cfg = rt_setup
+    tensors = dict(random_weights(cfg, 0).tensors)
+    tensors["head.bias"] = tensors["head.bias"].copy()
+    tensors["head.bias"][7] = np.inf  # noise beta_logit
+    validated = []
+    post_init = trimask.masking.MaskLogits.__post_init__
+
+    def counted(self):
+        validated.append(self.shape)
+        post_init(self)
+
+    monkeypatch.setattr(trimask.masking.MaskLogits, "__post_init__", counted)
+    with pytest.raises(ValueError, match="finite"):
+        enhance(_band_limited_signal(7, n=9000), WeightSet(tensors), cfg, stft_cfg, mode=mode)
+    # the direct pair passes and the noise pair fails, each checked once over
+    # the whole grid rather than once per emitted frame
+    assert len(validated) == 2
+
+
 def test_oracle_reconstruction_high_si_sdr():
     stft_cfg = RT_PRESET
     guard = stft_cfg.window_size

@@ -98,8 +98,3 @@ def test_report_serialization():
     assert data["naive_total"] == report.naive_total
     assert 0.0 <= data["overall_reduction"] <= 1.0
     assert all(0.0 <= l["reduction"] <= 1.0 for l in data["layers"])
-
-
-def test_count_ops_mode_validation():
-    with pytest.raises(ValueError, match="mode"):
-        count_ops(default_config(), mode="fast")

@@ -4,9 +4,10 @@ import pytest
 from trimask import (ConvSpec, UNetConfig, config_for_preset, config_from_json_dict,
                      config_to_json_dict, default_config, fuse_batchnorm,
                      load_weights, naive_infer, random_weights, save_weights,
-                     validate_weights)
+                     split_head, validate_weights)
+from trimask.masking import assemble_masks, quadrangle_decompose
 from trimask.spectral import NRT_PRESET, RT_PRESET
-from trimask.unet import conv_valid, conv_transposed_valid, leaky
+from trimask.unet import IDENTITY_HEAD, conv_valid, conv_transposed_valid, leaky
 
 
 def test_default_config_shapes():
@@ -147,7 +148,7 @@ def test_naive_infer_zero_weights_yields_head_bias():
         weights.tensors[name] = np.zeros_like(weights.tensors[name])
     weights.tensors["head.bias"] = np.arange(10.0)
     feats = np.random.default_rng(0).standard_normal((5, 65, 253))
-    ld, ln = naive_infer(feats, weights, cfg)
+    ld, ln = split_head(naive_infer(feats, weights, cfg)[:, None])
     assert np.all(ld.z_k == 0.0)
     assert np.all(ld.z_notk == 1.0)
     assert np.all(ld.beta_logit == 2.0)
@@ -159,7 +160,7 @@ def test_naive_infer_golden_regression():
     cfg = default_config()
     w = random_weights(cfg, 2024, dtype=np.float64)
     feats = np.random.default_rng(99).standard_normal((5, 65, 253))
-    ld, ln = naive_infer(feats, w, cfg)
+    ld, ln = split_head(naive_infer(feats, w, cfg)[:, None])
     idx = [0, 60, 126, 200, 252]
     np.testing.assert_allclose(
         ld.z_k[0, idx],
@@ -183,13 +184,36 @@ def test_naive_infer_head_linearity():
     cfg = default_config()
     w = random_weights(cfg, 5, dtype=np.float64)
     feats = np.random.default_rng(1).standard_normal((5, 65, 253))
-    base_d, base_n = naive_infer(feats, w, cfg)
+    base_d, base_n = split_head(naive_infer(feats, w, cfg)[:, None])
     w2 = w.astype(np.float64)
     w2.tensors["head.weight"] = 2.0 * w2.tensors["head.weight"]
     w2.tensors["head.bias"] = 2.0 * w2.tensors["head.bias"]
-    doubled_d, doubled_n = naive_infer(feats, w2, cfg)
+    doubled_d, doubled_n = split_head(naive_infer(feats, w2, cfg)[:, None])
     assert np.allclose(doubled_d.z_k, 2.0 * base_d.z_k, atol=1e-12)
     assert np.allclose(doubled_n.beta_logit, 2.0 * base_n.beta_logit, atol=1e-12)
+
+
+def test_identity_head_passes_mixture_to_direct():
+    grids = np.tile(IDENTITY_HEAD[:, None, None], (1, 3, 7))
+    field_d, field_n = (assemble_masks(lg) for lg in split_head(grids))
+    assert np.all(field_d.mask_k == 1.0)
+    assert np.all(field_n.mask_k == 0.0)
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((3, 7)) + 1j * rng.standard_normal((3, 7))
+    y_d, y_r, y_n = quadrangle_decompose(X, field_d, field_n)
+    assert np.array_equal(y_d, X)
+    assert np.all(y_r == 0.0)
+    assert np.all(y_n == 0.0)
+
+
+def test_split_head_returns_channel_views():
+    head = np.arange(10.0 * 2 * 3).reshape(10, 2, 3)
+    ld, ln = split_head(head)
+    assert ld.shape == ln.shape == (2, 3)
+    assert np.shares_memory(ld.z_k, head) and np.shares_memory(ln.q1, head)
+    assert np.array_equal(ln.z_k, head[5])
+    with pytest.raises(ValueError, match="head channels"):
+        split_head(head[:9])
 
 
 def test_naive_infer_shape_errors():
