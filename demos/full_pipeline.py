@@ -47,7 +47,8 @@ pd = phase_distance(stft(truth.y_d.samples[:n], stft_cfg),
                     stft(result.direct.samples[:n], stft_cfg))
 print(f"  phase distance {pd:.1f} deg")
 
-out_dir = Path(tempfile.mkdtemp(prefix="trimask_pipeline_"))
+out_dir = Path(tempfile.gettempdir()) / "trimask_pipeline"  # each run overwrites the last
+out_dir.mkdir(exist_ok=True)
 write_wav(out_dir / "input.wav", x)
 write_wav(out_dir / "remixed.wav", result.remixed)
 print(f"\nper-layer cost model:\n{result.op_report.to_text()}")

@@ -32,7 +32,8 @@ resum = sig_d.samples + sig_r.samples + sig_n.samples
 print(f"component resum vs mixture round trip: max gap "
       f"{np.abs(resum[interior] - truth.x.samples[interior]).max():.2e}")
 
-out_dir = Path(tempfile.mkdtemp(prefix="trimask_oracle_"))
+out_dir = Path(tempfile.gettempdir()) / "trimask_oracle"  # each run overwrites the last
+out_dir.mkdir(exist_ok=True)
 for name, sig in (("mixture", truth.x), ("direct_est", sig_d),
                   ("reverb_est", sig_r), ("noise_est", sig_n)):
     write_wav(out_dir / f"{name}.wav", sig)

@@ -11,10 +11,11 @@ import numpy as np
 
 from trimask import count_ops, default_config, naive_infer, random_weights, required_queues
 from trimask.streaming import StreamState, stream_push
+from trimask.types import FEATURE_CHANNELS
 
 cfg = default_config()
 print(f"default architecture: {cfg.depth} encoder layers, input "
-      f"{cfg.in_bins} bins x {cfg.in_frames} frames x {cfg.in_channels} channels, "
+      f"{cfg.in_bins} bins x {cfg.in_frames} frames x {FEATURE_CHANNELS} channels, "
       f"lookahead {cfg.lookahead_frames} frames")
 
 print("\nstride-phase queues per depth (prod of temporal strides):")

@@ -150,7 +150,7 @@ def _cmd_bench_ops(args) -> int:
     print(report.to_text())
     print(f"overall reduction: {100.0 * report.overall_reduction:.2f}% "
           f"(architecture-dependent)")
-    if not args.no_measure and cfg.decoder and cfg.head_channels:
+    if not args.no_measure:
         t0 = time.perf_counter()
         naive_meas, stream_meas = measured_ops(cfg)
         elapsed = time.perf_counter() - t0

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import spectral
 from .dynamics import DrcConfig, compress
-from .masking import assemble_masks, quadrangle_decompose, remix
+from .masking import assemble_masks, check_reverb_gain_db, quadrangle_decompose, remix
 from .opcount import OpCountReport, count_ops
 from .streaming import StreamState, stream_push
 from .types import SignalBuffer, as_samples
@@ -50,6 +50,7 @@ def enhance(signal, weights: WeightSet, cfg: UNetConfig, stft_cfg: StftConfig,
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    check_reverb_gain_db(reverb_gain_db)
     x = as_samples(signal)
 
     spec_full = spectral.stft(x, stft_cfg)

@@ -51,13 +51,10 @@ class MaskLogits:
 
 @dataclass(frozen=True)
 class GumbelConfig:
-    temperature: float = 1.0
     mode: str = "deterministic"  # or "stochastic"
     seed: int = 0
 
     def __post_init__(self):
-        if self.temperature <= 0:
-            raise ValueError("temperature must be > 0")
         if self.mode not in ("deterministic", "stochastic"):
             raise ValueError(f"unknown gumbel mode {self.mode!r}")
 
@@ -233,12 +230,19 @@ def oracle_fit(X, Y_target) -> MaskLogits:
                       beta_logit=beta_logit, q0=q0, q1=q1)
 
 
+def check_reverb_gain_db(reverb_gain_db: float) -> None:
+    """Reject a remix gain that would make the output non-finite (NaN, +inf)."""
+    if np.isnan(reverb_gain_db) or np.isposinf(reverb_gain_db):
+        raise ValueError(f"reverb_gain_db must be finite or -inf, got {reverb_gain_db}")
+
+
 def remix(y_d, y_r, reverb_gain_db: float) -> SignalBuffer:
     """Linear remix of direct and reverberant estimates.
 
     out = y_d + 10^(gain_db/20) * y_r; a gain of -inf suppresses the
     reverberant part entirely.
     """
+    check_reverb_gain_db(reverb_gain_db)
     d = as_samples(y_d)
     r = as_samples(y_r)
     if len(d) != len(r):

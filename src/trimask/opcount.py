@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .streaming import StreamPlan, StreamState, stream_push
+from .types import FEATURE_CHANNELS
 from .unet import HEAD_CHANNELS, UNetConfig, random_weights, unet_forward
 
 
@@ -85,23 +86,18 @@ def count_ops(cfg: UNetConfig) -> OpCountReport:
     layers = []
     for i, spec in enumerate(cfg.encoder):
         fo, to = enc_shapes[i + 1]
-        kv = spec.kernel_f * spec.kernel_t * spec.in_ch * spec.out_ch
-        layers.append(LayerOps(f"enc{i + 1}", naive_mults=fo * to * kv,
-                               streaming_mults=plan.enc_mults[f"enc{i + 1}"]))
-    for j, spec in enumerate(cfg.decoder):
-        fi, ti = dec_shapes[j]
-        kv = spec.kernel_f * spec.kernel_t * spec.in_ch * spec.out_ch
-        layers.append(LayerOps(f"dec{j + 1}", naive_mults=fi * ti * kv,
-                               streaming_mults=plan.dec_mults.get(f"dec{j + 1}", 0)))
-    if cfg.head_channels:
-        if cfg.decoder:
-            head_in = cfg.decoder[-1].out_ch
-            hf, ht = dec_shapes[-1]
-        else:
-            head_in = cfg.encoder[-1].out_ch
-            hf, ht = enc_shapes[-1]
-        layers.append(LayerOps("head", naive_mults=cfg.head_channels * head_in * hf * ht,
-                               streaming_mults=plan.head_mults))
+        per_frame = fo * spec.kernel_f * spec.kernel_t * spec.in_ch * spec.out_ch
+        layers.append(LayerOps(f"enc{i + 1}", naive_mults=per_frame * to,
+                               streaming_mults=per_frame))
+    for step, spec in zip(plan.steps, cfg.decoder):
+        fi, ti = dec_shapes[step.layer - 1]
+        per_tap = fi * spec.kernel_f * spec.in_ch * spec.out_ch
+        n_taps = sum(len(row) for row in step.taps)
+        layers.append(LayerOps(f"dec{step.layer}", naive_mults=per_tap * ti * spec.kernel_t,
+                               streaming_mults=per_tap * n_taps))
+    per_frame = HEAD_CHANNELS * cfg.decoder_channels[-1] * cfg.in_bins
+    layers.append(LayerOps("head", naive_mults=per_frame * cfg.in_frames,
+                           streaming_mults=per_frame))
     return OpCountReport(layers=layers)
 
 
@@ -112,19 +108,18 @@ def measured_ops(cfg: UNetConfig, seed: int = 0):
     The streaming figure is a steady-state per-push delta, taken after the
     first emission.
     """
-    if not cfg.decoder or cfg.head_channels != HEAD_CHANNELS:
-        raise ValueError("measured_ops needs an inferable config (decoder + 10-ch head)")
     weights = random_weights(cfg, seed)
     rng = np.random.default_rng(seed + 1)
+    frame = (FEATURE_CHANNELS, cfg.in_bins)
 
     naive_counts: dict = {}
-    window = rng.standard_normal((cfg.in_channels, cfg.in_bins, cfg.in_frames)).astype(weights.dtype)
+    window = rng.standard_normal(frame + (cfg.in_frames,)).astype(weights.dtype)
     unet_forward(window, weights, cfg, counter=naive_counts)
 
     state = StreamState(cfg, weights)
     for _ in range(state.plan.warmup):
-        stream_push(rng.standard_normal((cfg.in_channels, cfg.in_bins)).astype(weights.dtype), state)
+        stream_push(rng.standard_normal(frame).astype(weights.dtype), state)
     before = dict(state.op_counter)
-    stream_push(rng.standard_normal((cfg.in_channels, cfg.in_bins)).astype(weights.dtype), state)
+    stream_push(rng.standard_normal(frame).astype(weights.dtype), state)
     per_push = {k: state.op_counter[k] - before[k] for k in state.op_counter}
     return naive_counts, per_push

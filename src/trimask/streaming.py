@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .types import FEATURE_CHANNELS
 from .unet import (HEAD_CHANNELS, UNetConfig, WeightSet, conv_transposed_valid, conv_valid,
                    leaky, validate_weights)
 
@@ -72,38 +73,34 @@ class StreamPlan:
         self.warmup = t0  # pushes before the first emission
 
         # decoder needs, resolved backward from the single target frame
-        self.steps: list[_DecoderStep] = []
         enc_needs = {l: set() for l in range(1, L + 1)}
-        if cfg.decoder and cfg.head_channels == HEAD_CHANNELS:
-            dec_T = [self.enc_T[L]]
-            for spec in cfg.decoder:
-                dec_T.append((dec_T[-1] - 1) * spec.stride_t + spec.kernel_t)
-            assert dec_T[L] == t0
+        dec_T = [t for _, t in cfg.decoder_shapes()]
+        assert dec_T[L] == t0
 
-            needed = {cfg.target_index}
-            rev_steps = []
-            for j in range(L, 0, -1):
-                spec = cfg.decoder[j - 1]
-                kt, st = spec.kernel_t, spec.stride_t
-                in_len = dec_T[j - 1]
-                out_frames = tuple(sorted(needed))
-                taps = []
-                need_in = set()
-                for p in out_frames:
-                    lo = max(0, -(-(p - kt + 1) // st))  # ceil
-                    hi = min(in_len - 1, p // st)
-                    row = tuple((q, p - q * st) for q in range(lo, hi + 1))
-                    if not row:
-                        raise ValueError(f"dec{j}: output frame {p} has no contributors")
-                    taps.append(row)
-                    need_in.update(q for q, _ in row)
-                skip_level = L - j + 1 if j >= 2 else 0
-                enc_needs[skip_level or L].update(need_in)
-                rev_steps.append(_DecoderStep(layer=j, inputs=tuple(sorted(need_in)),
-                                              out_frames=out_frames, taps=tuple(taps),
-                                              skip_level=skip_level))
-                needed = need_in
-            self.steps = list(reversed(rev_steps))
+        needed = {cfg.target_index}
+        rev_steps = []
+        for j in range(L, 0, -1):
+            spec = cfg.decoder[j - 1]
+            kt, st = spec.kernel_t, spec.stride_t
+            in_len = dec_T[j - 1]
+            out_frames = tuple(sorted(needed))
+            taps = []
+            need_in = set()
+            for p in out_frames:
+                lo = max(0, -(-(p - kt + 1) // st))  # ceil
+                hi = min(in_len - 1, p // st)
+                row = tuple((q, p - q * st) for q in range(lo, hi + 1))
+                if not row:
+                    raise ValueError(f"dec{j}: output frame {p} has no contributors")
+                taps.append(row)
+                need_in.update(q for q, _ in row)
+            skip_level = L - j + 1 if j >= 2 else 0
+            enc_needs[skip_level or L].update(need_in)
+            rev_steps.append(_DecoderStep(layer=j, inputs=tuple(sorted(need_in)),
+                                          out_frames=out_frames, taps=tuple(taps),
+                                          skip_level=skip_level))
+            needed = need_in
+        self.steps: list[_DecoderStep] = list(reversed(rev_steps))
 
         # ring capacities: newest frame of level l sits delta[l] behind the
         # push; capacity covers the oldest slot any consumer asks for
@@ -112,29 +109,9 @@ class StreamPlan:
             lookbacks = [self.delta[l]]
             if l < L:
                 lookbacks.append(self.delta[l + 1])  # oldest tap of level l+1
-            if l >= 1 and enc_needs[l]:
+            if l >= 1:
                 lookbacks.append((t0 - 1) - min(enc_needs[l]) * self.lattice[l])
             self.capacity[l] = max(lookbacks) - self.delta[l] + 1
-
-        # per-push analytic multiplication counts (steady state)
-        self.enc_mults = {}
-        for i, spec in enumerate(cfg.encoder):
-            self.enc_mults[f"enc{i + 1}"] = (self.enc_F[i + 1] * spec.kernel_f
-                                             * spec.kernel_t * spec.in_ch * spec.out_ch)
-        self.dec_mults = {}
-        for step in self.steps:
-            spec = cfg.decoder[step.layer - 1]
-            n_taps = sum(len(row) for row in step.taps)
-            # decoder layer j consumes frames at encoder level L-j+1's extent
-            f_in = self.enc_F[cfg.depth - step.layer + 1]
-            self.dec_mults[f"dec{step.layer}"] = (n_taps * f_in * spec.kernel_f
-                                                  * spec.in_ch * spec.out_ch)
-        self.head_mults = 0
-        if cfg.head_channels:
-            if cfg.decoder:
-                self.head_mults = cfg.head_channels * cfg.decoder[-1].out_ch * cfg.in_bins
-            else:
-                self.head_mults = cfg.head_channels * cfg.encoder[-1].out_ch * self.enc_F[L]
 
 
 class _Ring:
@@ -169,7 +146,7 @@ class StreamState:
         self.weights = weights
         self.plan = plan if plan is not None else StreamPlan(cfg)
         dtype = weights.dtype
-        self.rings = [_Ring(self.plan.capacity[0], (cfg.in_channels, cfg.in_bins), dtype)]
+        self.rings = [_Ring(self.plan.capacity[0], (FEATURE_CHANNELS, cfg.in_bins), dtype)]
         for l, spec in enumerate(cfg.encoder):
             self.rings.append(_Ring(self.plan.capacity[l + 1],
                                     (spec.out_ch, self.plan.enc_F[l + 1]), dtype))
@@ -245,21 +222,21 @@ def _decode(state: StreamState, push_index: int):
 
     final = frames[0]  # the last step computes only the target frame
     hw = state.weights["head.weight"]
-    logits = hw.reshape(cfg.head_channels, -1) @ final
+    logits = hw.reshape(HEAD_CHANNELS, -1) @ final
     logits += state.weights["head.bias"][:, None]
-    state.op_counter["head"] += cfg.head_channels * hw.shape[1] * cfg.in_bins
+    state.op_counter["head"] += HEAD_CHANNELS * hw.shape[1] * cfg.in_bins
     return logits
 
 
 def stream_push(frame: np.ndarray, state: StreamState):
-    """Ingest one feature frame (in_channels, bins); returns the (10, bins)
+    """Ingest one feature frame (FEATURE_CHANNELS, bins); returns the (10, bins)
     head frame for frame n - lookahead, in the weights' dtype, once the
     first full analysis window exists, else None."""
     cfg = state.cfg
     plan = state.plan
     frame = np.asarray(frame, dtype=state.weights.dtype)
-    if frame.shape != (cfg.in_channels, cfg.in_bins):
-        raise ValueError(f"expected frame shape ({cfg.in_channels}, {cfg.in_bins}), "
+    if frame.shape != (FEATURE_CHANNELS, cfg.in_bins):
+        raise ValueError(f"expected frame shape ({FEATURE_CHANNELS}, {cfg.in_bins}), "
                          f"got {frame.shape}")
     n = state.frames_ingested
     state.rings[0].append(n, frame)
@@ -269,7 +246,7 @@ def stream_push(frame: np.ndarray, state: StreamState):
             state.rings[level].append(n - plan.delta[level], out)
     state.frames_ingested += 1
 
-    if not plan.steps or n < plan.warmup - 1:
+    if n < plan.warmup - 1:
         return None
     head = _decode(state, n)
     state.emitted_count += 1

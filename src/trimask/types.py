@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 SAMPLE_RATE = 16000
+FEATURE_CHANNELS = 5  # channels of a FeatureStack and of the U-Net input
 
 
 def as_samples(signal) -> np.ndarray:
@@ -81,12 +82,13 @@ class FeatureStack:
     group delay, delta-phase.
     """
 
-    channels: np.ndarray  # (5, T, F)
+    channels: np.ndarray  # (FEATURE_CHANNELS, T, F)
 
     def __post_init__(self):
         self.channels = np.asarray(self.channels, dtype=np.float64)
-        if self.channels.ndim != 3 or self.channels.shape[0] != 5:
-            raise ValueError(f"expected (5, T, F) feature stack, got {self.channels.shape}")
+        if self.channels.ndim != 3 or self.channels.shape[0] != FEATURE_CHANNELS:
+            raise ValueError(f"expected ({FEATURE_CHANNELS}, T, F) feature stack, "
+                             f"got {self.channels.shape}")
 
     @property
     def frame_count(self) -> int:

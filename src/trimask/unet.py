@@ -10,12 +10,12 @@ grids of the two mask pairs (direct-vs-rest, noise-vs-rest).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .masking import LOGIT_CLAMP, MaskLogits
-from .types import FeatureStack
+from .types import FEATURE_CHANNELS, FeatureStack
 
 HEAD_CHANNELS = 10  # 2 mask pairs x (z_k, z_notk, beta_logit, q0, q1)
 
@@ -51,42 +51,46 @@ def _chain(size: int, kernel: int, stride: int, what: str) -> int:
 
 @dataclass(frozen=True)
 class UNetConfig:
+    """U-Net geometry. The decoder mirrors the encoder: decoder layer j has
+    encoder level L+1-j's kernels and strides, reads the previous decoder
+    output concatenated with that level's skip (the bottleneck alone for
+    j = 1), and has `decoder_channels[j-1]` outputs. `decoder` is that
+    derived ConvSpec tuple."""
+
     encoder: tuple
-    decoder: tuple
-    in_channels: int = 5
+    decoder_channels: tuple
     in_bins: int = 253
     in_frames: int = 65
-    head_channels: int = HEAD_CHANNELS
     activation_slope: float = 0.01
     lookahead_frames: int = 4
+    decoder: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.encoder:
             raise ValueError("encoder must have at least one layer")
-        if self.decoder and len(self.decoder) != len(self.encoder):
-            raise ValueError("decoder must be empty or mirror the encoder depth")
+        if len(self.decoder_channels) != len(self.encoder):
+            raise ValueError("decoder_channels must give one width per encoder level")
+        if min(self.decoder_channels) < 1:
+            raise ValueError("decoder_channels must be >= 1")
         if not (0 <= self.lookahead_frames <= self.in_frames - 1):
             raise ValueError("lookahead_frames out of range")
-        ch = self.in_channels
+        ch = FEATURE_CHANNELS
         f, t = self.in_bins, self.in_frames
         for i, spec in enumerate(self.encoder):
-            if spec.stride_f < 1 or spec.stride_t < 1:
-                raise ValueError(f"enc{i + 1}: strides must be >= 1")
+            if min(spec.kernel_f, spec.kernel_t, spec.stride_f, spec.stride_t, spec.out_ch) < 1:
+                raise ValueError(f"enc{i + 1}: kernel sizes, strides and out_ch must be >= 1")
             if spec.in_ch != ch:
                 raise ValueError(f"enc{i + 1}: expected in_ch {ch}, got {spec.in_ch}")
             f = _chain(f, spec.kernel_f, spec.stride_f, f"enc{i + 1} freq")
             t = _chain(t, spec.kernel_t, spec.stride_t, f"enc{i + 1} time")
             ch = spec.out_ch
-        L = len(self.encoder)
-        for j, spec in enumerate(self.decoder):
-            mirror = self.encoder[L - 1 - j]
-            if (spec.kernel_f, spec.kernel_t, spec.stride_f, spec.stride_t) != (
-                mirror.kernel_f, mirror.kernel_t, mirror.stride_f, mirror.stride_t,
-            ):
-                raise ValueError(f"dec{j + 1} does not mirror enc{L - j} kernel/stride")
-            expect_in = ch if j == 0 else self.decoder[j - 1].out_ch + self.encoder[L - 1 - j].out_ch
-            if spec.in_ch != expect_in:
-                raise ValueError(f"dec{j + 1}: expected in_ch {expect_in}, got {spec.in_ch}")
+        decoder = []
+        for mirror, out_ch in zip(reversed(self.encoder), self.decoder_channels):
+            in_ch = ch if not decoder else ch + mirror.out_ch
+            decoder.append(ConvSpec(mirror.kernel_f, mirror.kernel_t, mirror.stride_f,
+                                    mirror.stride_t, in_ch, out_ch))
+            ch = out_ch
+        object.__setattr__(self, "decoder", tuple(decoder))
 
     @property
     def depth(self) -> int:
@@ -120,11 +124,8 @@ class UNetConfig:
         return shapes
 
     def layer_names(self):
-        names = [f"enc{i + 1}" for i in range(len(self.encoder))]
-        names += [f"dec{j + 1}" for j in range(len(self.decoder))]
-        if self.head_channels:
-            names.append("head")
-        return names
+        L = self.depth
+        return [f"enc{i + 1}" for i in range(L)] + [f"dec{j + 1}" for j in range(L)] + ["head"]
 
 
 _DEFAULT_CHANNELS = (16, 32, 48, 64, 80)
@@ -132,8 +133,7 @@ _DEFAULT_DEC_CHANNELS = (64, 48, 32, 16, 16)
 _DEFAULT_TIME_STRIDES = (1, 2, 1, 2, 1)
 
 
-def default_config(bins: int = 253, frames: int = 65, lookahead_frames: int = 4,
-                   in_channels: int = 5) -> UNetConfig:
+def default_config(bins: int = 253, frames: int = 65, lookahead_frames: int = 4) -> UNetConfig:
     """Stock architecture: five 5x3 encoder layers, frequency stride 2,
     temporal strides (1,2,1,2,1), mirrored decoder with skip concatenation.
 
@@ -143,63 +143,54 @@ def default_config(bins: int = 253, frames: int = 65, lookahead_frames: int = 4,
     """
     enc = []
     f = bins
-    ch = in_channels
+    ch = FEATURE_CHANNELS
     for out_ch, st in zip(_DEFAULT_CHANNELS, _DEFAULT_TIME_STRIDES):
         kf = 5 if (f - 5) % 2 == 0 else 6
         enc.append(ConvSpec(kernel_f=kf, kernel_t=3, stride_f=2, stride_t=st,
                             in_ch=ch, out_ch=out_ch))
         f = (f - kf) // 2 + 1
         ch = out_ch
-    dec = []
-    L = len(enc)
-    prev = enc[-1].out_ch
-    for j, out_ch in enumerate(_DEFAULT_DEC_CHANNELS):
-        mirror = enc[L - 1 - j]
-        in_ch = prev if j == 0 else prev + enc[L - 1 - j].out_ch
-        dec.append(ConvSpec(kernel_f=mirror.kernel_f, kernel_t=mirror.kernel_t,
-                            stride_f=mirror.stride_f, stride_t=mirror.stride_t,
-                            in_ch=in_ch, out_ch=out_ch))
-        prev = out_ch
-    return UNetConfig(encoder=tuple(enc), decoder=tuple(dec),
-                      in_channels=in_channels, in_bins=bins, in_frames=frames,
-                      lookahead_frames=lookahead_frames)
+    return UNetConfig(encoder=tuple(enc), decoder_channels=_DEFAULT_DEC_CHANNELS,
+                      in_bins=bins, in_frames=frames, lookahead_frames=lookahead_frames)
 
 
 def config_for_preset(stft_cfg, lookahead_ms: float = 32.0, frames: int = 65) -> UNetConfig:
     """Architecture matched to an STFT preset; lookahead rounds to frames."""
+    if not np.isfinite(lookahead_ms):
+        raise ValueError(f"lookahead_ms must be finite, got {lookahead_ms}")
     bins = stft_cfg.bin_count - stft_cfg.discard_low_bins
     frame_ms = stft_cfg.hop_size / 16.0  # 16 samples per ms at 16 kHz
     la = int(round(lookahead_ms / frame_ms))
     return default_config(bins=bins, frames=frames, lookahead_frames=la)
 
 
+_SPEC_KEYS = tuple(f.name for f in fields(ConvSpec))
+_CONFIG_KEYS = tuple(f.name for f in fields(UNetConfig) if f.init)
+
+
 def config_to_json_dict(cfg: UNetConfig) -> dict:
-    def specs(layers):
-        return [
-            {"kernel_f": s.kernel_f, "kernel_t": s.kernel_t, "stride_f": s.stride_f,
-             "stride_t": s.stride_t, "in_ch": s.in_ch, "out_ch": s.out_ch}
-            for s in layers
-        ]
-    return {
-        "in_channels": cfg.in_channels, "in_bins": cfg.in_bins,
-        "in_frames": cfg.in_frames, "head_channels": cfg.head_channels,
-        "activation_slope": cfg.activation_slope,
-        "lookahead_frames": cfg.lookahead_frames,
-        "encoder": specs(cfg.encoder), "decoder": specs(cfg.decoder),
-    }
+    data = {key: getattr(cfg, key) for key in _CONFIG_KEYS}
+    data["encoder"] = [asdict(spec) for spec in cfg.encoder]
+    data["decoder_channels"] = list(cfg.decoder_channels)
+    return data
 
 
 def config_from_json_dict(data: dict) -> UNetConfig:
-    def specs(entries):
-        return tuple(ConvSpec(**entry) for entry in entries)
-    return UNetConfig(
-        encoder=specs(data["encoder"]), decoder=specs(data.get("decoder", [])),
-        in_channels=data.get("in_channels", 5), in_bins=data.get("in_bins", 253),
-        in_frames=data.get("in_frames", 65),
-        head_channels=data.get("head_channels", HEAD_CHANNELS),
-        activation_slope=data.get("activation_slope", 0.01),
-        lookahead_frames=data.get("lookahead_frames", 4),
-    )
+    """Inverse of config_to_json_dict; malformed input is a ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
+    unknown = sorted(set(data) - set(_CONFIG_KEYS))
+    if unknown:
+        raise ValueError(f"unknown config keys {unknown}; expected {list(_CONFIG_KEYS)}")
+    for key in ("encoder", "decoder_channels"):
+        if key not in data:
+            raise ValueError(f"config is missing {key!r}")
+    for i, entry in enumerate(data["encoder"]):
+        if not isinstance(entry, dict) or set(entry) != set(_SPEC_KEYS):
+            raise ValueError(f"encoder entry {i + 1} must have exactly the keys "
+                             f"{list(_SPEC_KEYS)}")
+    return UNetConfig(**{**data, "encoder": tuple(ConvSpec(**e) for e in data["encoder"]),
+                         "decoder_channels": tuple(data["decoder_channels"])})
 
 
 @dataclass
@@ -229,10 +220,8 @@ def _weight_shapes(cfg: UNetConfig):
     for j, spec in enumerate(cfg.decoder):
         shapes[f"dec{j + 1}.weight"] = (spec.out_ch, spec.in_ch, spec.kernel_f, spec.kernel_t)
         shapes[f"dec{j + 1}.bias"] = (spec.out_ch,)
-    if cfg.head_channels:
-        head_in = cfg.decoder[-1].out_ch if cfg.decoder else cfg.encoder[-1].out_ch
-        shapes["head.weight"] = (cfg.head_channels, head_in, 1, 1)
-        shapes["head.bias"] = (cfg.head_channels,)
+    shapes["head.weight"] = (HEAD_CHANNELS, cfg.decoder_channels[-1], 1, 1)
+    shapes["head.bias"] = (HEAD_CHANNELS,)
     return shapes
 
 
@@ -369,7 +358,7 @@ def conv_transposed_valid(x: np.ndarray, w: np.ndarray, b: np.ndarray, sf: int, 
 
 def unet_forward(x: np.ndarray, weights: WeightSet, cfg: UNetConfig,
                  counter=None) -> np.ndarray:
-    """Full forward pass over a (in_channels, F, T) tensor -> (head, F, T) logits."""
+    """Full forward pass over a (FEATURE_CHANNELS, F, T) tensor -> (10, F, T) logits."""
     slope = cfg.activation_slope
     skips = []
     h = x
@@ -405,8 +394,8 @@ def split_head(head: np.ndarray):
 def features_to_tensor(features, cfg: UNetConfig, dtype) -> np.ndarray:
     """FeatureStack (5, T, F) -> engine layout (C, F, T), validated."""
     arr = features.channels if isinstance(features, FeatureStack) else np.asarray(features)
-    if arr.ndim != 3 or arr.shape[0] != cfg.in_channels:
-        raise ValueError(f"expected ({cfg.in_channels}, T, F) features, got {arr.shape}")
+    if arr.ndim != 3 or arr.shape[0] != FEATURE_CHANNELS:
+        raise ValueError(f"expected ({FEATURE_CHANNELS}, T, F) features, got {arr.shape}")
     if arr.shape[2] != cfg.in_bins:
         raise ValueError(f"expected {cfg.in_bins} bins, got {arr.shape[2]}")
     return np.ascontiguousarray(arr.transpose(0, 2, 1), dtype=dtype)
@@ -415,8 +404,6 @@ def features_to_tensor(features, cfg: UNetConfig, dtype) -> np.ndarray:
 def naive_infer(features, weights: WeightSet, cfg: UNetConfig, counter=None):
     """Whole-window forward pass; returns the (10, F) head frame at window
     position in_frames - 1 - lookahead_frames, in the weights' dtype."""
-    if cfg.head_channels != HEAD_CHANNELS or not cfg.decoder:
-        raise ValueError("inference needs a mirrored decoder and a 10-channel head")
     x = features_to_tensor(features, cfg, weights.dtype)
     if x.shape[2] != cfg.in_frames:
         raise ValueError(f"expected {cfg.in_frames} frames, got {x.shape[2]}")

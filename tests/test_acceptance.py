@@ -130,9 +130,9 @@ def test_c4_multiplication_reduction():
         assert stream_m[layer.name] == layer.streaming_mults
     assert report.overall_reduction >= 0.80
 
-    degenerate = UNetConfig(
-        encoder=(ConvSpec(1, 1, 1, 1, 5, 8),), decoder=(), in_channels=5,
-        in_bins=253, in_frames=65, head_channels=0, lookahead_frames=0)
+    degenerate = UNetConfig(  # one 1x1 level, its mirrored decoder and the head
+        encoder=(ConvSpec(1, 1, 1, 1, 5, 8),), decoder_channels=(6,),
+        in_bins=253, in_frames=65, lookahead_frames=0)
     deg = count_ops(degenerate)
     assert Fraction(deg.streaming_total, deg.naive_total) == Fraction(1, 65)
     _report("C4 multiplication reduction",

@@ -22,6 +22,18 @@ def test_enhance_requires_weights_or_seed(tmp_path, capsys):
     assert "weights" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value", [("--reverb-gain-db", "nan"),
+                                        ("--reverb-gain-db", "inf"),
+                                        ("--lookahead-ms", "inf")])
+def test_enhance_non_finite_option_is_a_clean_error(tmp_path, capsys, flag, value):
+    src = _mixture_wav(tmp_path)
+    rc = main(["enhance", "--input", str(src), "--output", str(tmp_path / "out.wav"),
+               "--seed", "0", flag, value])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "must be finite" in err
+
+
 def test_enhance_deterministic_bytes(tmp_path):
     src = _mixture_wav(tmp_path)
     outs = []
@@ -220,13 +232,13 @@ def test_bench_ops_default(capsys):
     assert "instrumented check" in out
 
 
+_ENC1_1X1 = {"kernel_f": 1, "kernel_t": 1, "stride_f": 1, "stride_t": 1, "in_ch": 5, "out_ch": 8}
+
+
 def test_bench_ops_degenerate_config(tmp_path, capsys):
     cfg_json = {
-        "in_channels": 5, "in_bins": 253, "in_frames": 65, "head_channels": 0,
-        "lookahead_frames": 0,
-        "encoder": [{"kernel_f": 1, "kernel_t": 1, "stride_f": 1, "stride_t": 1,
-                     "in_ch": 5, "out_ch": 8}],
-        "decoder": [],
+        "in_bins": 253, "in_frames": 65, "lookahead_frames": 0,
+        "encoder": [_ENC1_1X1], "decoder_channels": [6],
     }
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg_json))
@@ -236,6 +248,25 @@ def test_bench_ops_degenerate_config(tmp_path, capsys):
     assert f"{65 * 253 * 5 * 8}" in out
     assert f"{253 * 5 * 8}" in out
     assert "98.46%" in out  # 64/65
+    assert "instrumented check" in out and "MISMATCH" not in out
+
+
+@pytest.mark.parametrize("cfg_json,match", [
+    ([_ENC1_1X1], "must be a JSON object"),
+    ({"decoder_channels": [6]}, "missing 'encoder'"),
+    ({"encoder": [_ENC1_1X1]}, "missing 'decoder_channels'"),
+    ({"decoder": []}, "unknown config keys"),
+    ({"encoder": [_ENC1_1X1], "decoder_channels": [6], "head_channels": 10}, "unknown"),
+    ({"encoder": [_ENC1_1X1], "decoder_channels": [6], "in_channels": 5}, "unknown"),
+    ({"encoder": [{"kernel_f": 1}], "decoder_channels": [6]}, "encoder entry 1"),
+    ({"encoder": [{**_ENC1_1X1, "pad": 0}], "decoder_channels": [6]}, "encoder entry 1"),
+])
+def test_bench_ops_malformed_config_is_a_clean_error(tmp_path, capsys, cfg_json, match):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg_json))
+    assert main(["bench-ops", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and match in err
 
 
 def test_oracle_check_runs(capsys):

@@ -144,6 +144,20 @@ def test_enhance_rejects_non_finite_signal_before_stft(rt_setup, monkeypatch):
         enhance(x, random_weights(cfg, 0), cfg, stft_cfg)
 
 
+@pytest.mark.parametrize("gain", [float("nan"), float("inf")])
+def test_enhance_rejects_bad_reverb_gain_before_stft(rt_setup, monkeypatch, gain):
+    import trimask.spectral
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("spectral.stft reached with a non-finite reverb gain")
+
+    stft_cfg, cfg = rt_setup
+    monkeypatch.setattr(trimask.spectral, "stft", unreachable)
+    with pytest.raises(ValueError, match="reverb_gain_db"):
+        enhance(_band_limited_signal(6, n=8000), random_weights(cfg, 0), cfg, stft_cfg,
+                reverb_gain_db=gain)
+
+
 @pytest.mark.parametrize("mode", ["causal-stream", "noncausal-window"])
 def test_enhance_rejects_non_finite_head_logits(rt_setup, monkeypatch, mode):
     import trimask.masking

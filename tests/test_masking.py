@@ -76,8 +76,6 @@ def test_gumbel_sign_stochastic_symmetry():
 
 def test_gumbel_config_validation():
     with pytest.raises(ValueError):
-        GumbelConfig(temperature=0.0)
-    with pytest.raises(ValueError):
         GumbelConfig(mode="sometimes")
 
 
@@ -218,6 +216,9 @@ def test_remix_gains():
     assert np.array_equal(remix(d, r, float("-inf")).samples, d)
     with pytest.raises(ValueError, match="length mismatch"):
         remix(d, r[:50], 0.0)
+    for gain in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="reverb_gain_db"):
+            remix(d, r, gain)
 
 
 def test_mask_logits_validation():

@@ -7,11 +7,11 @@ import pytest
 from trimask import ConvSpec, UNetConfig, count_ops, default_config, measured_ops
 
 
-def _single_layer_config(kernel_t=1, stride_t=1, head=False):
+def _single_layer_config(kernel_t=1, stride_t=1):
+    """One-level mirrored U-Net (encoder, decoder, head) of 1-bin kernels."""
     enc = (ConvSpec(kernel_f=1, kernel_t=kernel_t, stride_f=1, stride_t=stride_t,
                     in_ch=5, out_ch=8),)
-    return UNetConfig(encoder=enc, decoder=(), in_channels=5, in_bins=253,
-                      in_frames=65, head_channels=10 if head else 0,
+    return UNetConfig(encoder=enc, decoder_channels=(6,), in_bins=253, in_frames=65,
                       lookahead_frames=0)
 
 
@@ -27,14 +27,12 @@ def test_single_1x1_layer_reduction_is_64_65_exact():
 def test_full_temporal_kernel_gives_zero_reduction():
     report = count_ops(_single_layer_config(kernel_t=65))
     assert report.layers[0].naive_mults == report.layers[0].streaming_mults
-    assert report.overall_reduction == 0.0
+    assert report.layers[0].reduction == 0.0
 
 
 def test_full_unet_of_1x1_layers_keeps_64_65():
-    enc = (ConvSpec(1, 1, 1, 1, 5, 8),)
-    dec = (ConvSpec(1, 1, 1, 1, 8, 6),)
-    cfg = UNetConfig(encoder=enc, decoder=dec, in_channels=5, in_bins=253,
-                     in_frames=65, head_channels=10, lookahead_frames=0)
+    cfg = UNetConfig(encoder=(ConvSpec(1, 1, 1, 1, 5, 8),), decoder_channels=(6,),
+                     in_bins=253, in_frames=65, lookahead_frames=0)
     report = count_ops(cfg)
     assert Fraction(report.streaming_total, report.naive_total) == Fraction(1, 65)
 
@@ -62,10 +60,6 @@ def test_analytic_equals_instrumented_random_configs():
         frames = 1
         for s in reversed(strides):
             frames = (frames - 1) * s + 3
-        frames += 2 * strides[0] if False else 0
-        bins = 7
-        enc_bins = []
-        b = bins
         enc = []
         ch = 5
         chans = [6, 8, 10]
@@ -73,15 +67,8 @@ def test_analytic_equals_instrumented_random_configs():
             enc.append(ConvSpec(kernel_f=1, kernel_t=3, stride_f=1, stride_t=s,
                                 in_ch=ch, out_ch=chans[i]))
             ch = chans[i]
-        dec = []
-        prev = enc[-1].out_ch
-        for j in range(depth):
-            mirror = enc[depth - 1 - j]
-            in_ch = prev if j == 0 else prev + enc[depth - 1 - j].out_ch
-            dec.append(ConvSpec(1, 3, 1, mirror.stride_t, in_ch, 6))
-            prev = 6
-        cfg = UNetConfig(encoder=tuple(enc), decoder=tuple(dec), in_channels=5,
-                         in_bins=bins, in_frames=frames, head_channels=10,
+        cfg = UNetConfig(encoder=tuple(enc), decoder_channels=(6,) * depth,
+                         in_bins=7, in_frames=frames,
                          lookahead_frames=int(rng.integers(0, min(4, frames))))
         report = count_ops(cfg)
         naive_m, stream_m = measured_ops(cfg, seed=trial)

@@ -13,22 +13,9 @@ def _max_diff(head_a, head_b):
     return float(np.max(np.abs(head_a - head_b)))
 
 
-def _stride_config(strides, kernel_t=3, frames=None):
+def _stride_config(strides, kernel_t=3):
     """Minimal valid config with the given temporal strides (queue tests)."""
-    # choose a frame count that divides exactly through the whole chain
-    t = 1
-    for s in reversed(strides):
-        t = (t - 1) * s + kernel_t
-    frames = t if frames is None else frames
-    enc = []
-    ch = 5
-    bins = 9
-    for s in strides:
-        enc.append(ConvSpec(kernel_f=1, kernel_t=kernel_t, stride_f=1, stride_t=s,
-                            in_ch=ch, out_ch=4))
-        ch = 4
-    return UNetConfig(encoder=tuple(enc), decoder=(), in_channels=5, in_bins=bins,
-                      in_frames=frames, head_channels=0, lookahead_frames=0)
+    return _mirrored_config(strides, [kernel_t] * len(strides), 0, bins=9, bottleneck=1)
 
 
 def test_required_queues_examples():
@@ -181,18 +168,8 @@ def _mirrored_config(strides, kernels_t, lookahead, bins=17, stride_f=1,
                             stride_t=s, in_ch=ch, out_ch=out))
         f = (f - kf) // stride_f + 1
         ch = out
-    dec = []
-    L = len(enc)
-    prev = enc[-1].out_ch
-    for j in range(L):
-        mirror = enc[L - 1 - j]
-        in_ch = prev if j == 0 else prev + enc[L - 1 - j].out_ch
-        dec.append(ConvSpec(mirror.kernel_f, mirror.kernel_t, mirror.stride_f,
-                            mirror.stride_t, in_ch, 6))
-        prev = 6
-    return UNetConfig(encoder=tuple(enc), decoder=tuple(dec), in_channels=5,
-                      in_bins=bins, in_frames=t, head_channels=10,
-                      lookahead_frames=lookahead)
+    return UNetConfig(encoder=tuple(enc), decoder_channels=(6,) * len(enc), in_bins=bins,
+                      in_frames=t, lookahead_frames=lookahead)
 
 
 @pytest.mark.parametrize("strides,kernels_t,lookahead,stride_f", [

@@ -38,12 +38,36 @@ def test_rt_preset_lookahead_frames():
 def test_config_validation_errors():
     bad = (ConvSpec(5, 3, 2, 1, 5, 16),)
     with pytest.raises(ValueError, match="does not divide exactly"):
-        UNetConfig(encoder=bad, decoder=(), in_bins=254)
+        UNetConfig(encoder=bad, decoder_channels=(16,), in_bins=254)
     with pytest.raises(ValueError, match="expected in_ch"):
-        UNetConfig(encoder=(ConvSpec(5, 3, 2, 1, 4, 16),), decoder=(), in_bins=253)
-    enc = (ConvSpec(5, 3, 2, 1, 5, 16),)
-    with pytest.raises(ValueError, match="does not mirror"):
-        UNetConfig(encoder=enc, decoder=(ConvSpec(5, 3, 2, 2, 16, 16),), in_bins=253)
+        UNetConfig(encoder=(ConvSpec(5, 3, 2, 1, 4, 16),), decoder_channels=(16,), in_bins=253)
+
+
+@pytest.mark.parametrize("spec,decoder_channels,match", [
+    (ConvSpec(0, 3, 2, 1, 5, 16), (16,), ">= 1"),
+    (ConvSpec(5, 0, 2, 1, 5, 16), (16,), ">= 1"),
+    (ConvSpec(5, 3, 0, 1, 5, 16), (16,), ">= 1"),
+    (ConvSpec(5, 3, 2, 1, 5, 0), (16,), ">= 1"),
+    (ConvSpec(5, 3, 2, 1, 5, 16), (0,), "decoder_channels must be >= 1"),
+    (ConvSpec(5, 3, 2, 1, 5, 16), (16, 16), "one width per encoder level"),
+])
+def test_config_rejects_sizes_below_one(spec, decoder_channels, match):
+    with pytest.raises(ValueError, match=match):
+        UNetConfig(encoder=(spec,), decoder_channels=decoder_channels, in_bins=253)
+
+
+def test_decoder_mirrors_encoder_with_skip_widths():
+    # in_ch = previous decoder width + the mirrored encoder level's width
+    assert default_config().decoder == (
+        ConvSpec(5, 3, 2, 1, 80, 64), ConvSpec(5, 3, 2, 2, 64 + 64, 48),
+        ConvSpec(5, 3, 2, 1, 48 + 48, 32), ConvSpec(5, 3, 2, 2, 32 + 32, 16),
+        ConvSpec(5, 3, 2, 1, 16 + 16, 16))
+
+
+@pytest.mark.parametrize("lookahead_ms", [float("inf"), float("-inf"), float("nan")])
+def test_config_for_preset_rejects_non_finite_lookahead(lookahead_ms):
+    with pytest.raises(ValueError, match="lookahead_ms must be finite"):
+        config_for_preset(RT_PRESET, lookahead_ms=lookahead_ms)
 
 
 def test_config_json_round_trip():
