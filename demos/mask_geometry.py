@@ -9,8 +9,8 @@ construction M_k + M_notk == 1, so nothing is ever lost.
 
 import numpy as np
 
-from trimask import (GumbelConfig, MaskLogits, assemble_masks, magnitude_masks,
-                     oracle_fit, quadrangle_decompose)
+from trimask import (MaskLogits, assemble_masks, magnitude_masks, oracle_fit,
+                     quadrangle_decompose)
 
 
 def banner(title):
@@ -43,7 +43,7 @@ wild = MaskLogits(z_k=rng.uniform(-10, 10, (200, 200)),
                   beta_logit=rng.uniform(-10, 10, (200, 200)),
                   q0=rng.uniform(-5, 5, (200, 200)),
                   q1=rng.uniform(-5, 5, (200, 200)))
-field = assemble_masks(wild, GumbelConfig())
+field = assemble_masks(wild)
 closure = np.abs(field.mask_k + field.mask_notk - 1.0)
 print(f"40k random bins: max |M_k + M_notk - 1| = {closure.max():.2e}")
 

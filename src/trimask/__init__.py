@@ -12,9 +12,9 @@ from .spectral import (NRT_PRESET, PRESETS, RT_PRESET, StftConfig,
                        extract_features, istft, restore_low_bins, stft,
                        trim_low_bins)
 from .wavio import read_wav, write_wav
-from .masking import (GumbelConfig, MaskLogits, PhmMaskField, apply_mask,
-                      assemble_masks, gumbel_sign, magnitude_masks, oracle_fit,
-                      phase_factors, quadrangle_decompose, remix)
+from .masking import (MaskLogits, PhmMaskField, apply_mask, assemble_masks,
+                      gumbel_sign, magnitude_masks, oracle_fit, phase_factors,
+                      quadrangle_decompose, remix)
 from .losses import (LossConfig, cos_sim_loss, emphasized_loss, final_loss,
                      loss_gradient, mu_law, multiscale_loss, pre_emphasis)
 from .unet import (ConvSpec, UNetConfig, WeightSet, config_for_preset,

@@ -60,8 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench-ops", help="per-layer multiplication counts, naive vs streaming")
     p.add_argument("--config", default="default", help="UNetConfig JSON path or 'default'")
-    p.add_argument("--no-measure", action="store_true",
-                   help="skip the instrumented run (analytic table only)")
 
     p = sub.add_parser("oracle-check", help="oracle mask end-to-end reconstruction suite")
     p.add_argument("--seed", type=int, default=0)
@@ -150,25 +148,24 @@ def _cmd_bench_ops(args) -> int:
     print(report.to_text())
     print(f"overall reduction: {100.0 * report.overall_reduction:.2f}% "
           f"(architecture-dependent)")
-    if not args.no_measure:
-        t0 = time.perf_counter()
-        naive_meas, stream_meas = measured_ops(cfg)
-        elapsed = time.perf_counter() - t0
-        print("\ninstrumented check (analytic == measured):")
-        ok = True
-        for layer in report.layers:
-            nm = naive_meas.get(layer.name, 0)
-            sm = stream_meas.get(layer.name, 0)
-            match = nm == layer.naive_mults and sm == layer.streaming_mults
-            ok = ok and match
-            print(f"{layer.name:>8}  naive {layer.naive_mults} == {nm}  "
-                  f"streaming {layer.streaming_mults} == {sm}  "
-                  f"{'ok' if match else 'MISMATCH'}")
-        print(f"measurement wall time: {elapsed * 1e3:.1f} ms (not asserted)")
-        if not ok:
-            print("error: instrumented tallies diverge from analytic counts",
-                  file=sys.stderr)
-            return 1
+    t0 = time.perf_counter()
+    naive_meas, stream_meas = measured_ops(cfg)
+    elapsed = time.perf_counter() - t0
+    print("\ninstrumented check (analytic == measured):")
+    ok = True
+    for layer in report.layers:
+        nm = naive_meas.get(layer.name, 0)
+        sm = stream_meas.get(layer.name, 0)
+        match = nm == layer.naive_mults and sm == layer.streaming_mults
+        ok = ok and match
+        print(f"{layer.name:>8}  naive {layer.naive_mults} == {nm}  "
+              f"streaming {layer.streaming_mults} == {sm}  "
+              f"{'ok' if match else 'MISMATCH'}")
+    print(f"measurement wall time: {elapsed * 1e3:.1f} ms (not asserted)")
+    if not ok:
+        print("error: instrumented tallies diverge from analytic counts",
+              file=sys.stderr)
+        return 1
     return 0
 
 

@@ -49,26 +49,15 @@ class MaskLogits:
         return np.shape(self.z_k)
 
 
-@dataclass(frozen=True)
-class GumbelConfig:
-    mode: str = "deterministic"  # or "stochastic"
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.mode not in ("deterministic", "stochastic"):
-            raise ValueError(f"unknown gumbel mode {self.mode!r}")
-
-
 @dataclass
 class PhmMaskField:
-    """Assembled mask pair: magnitudes, rotation signs, phase factors, masks."""
+    """Assembled complex mask pair, mask_k + mask_notk == 1 per bin.
 
-    mag_k: np.ndarray
-    mag_notk: np.ndarray
-    beta: np.ndarray
-    xi: np.ndarray
-    cos_dk: np.ndarray
-    cos_dnotk: np.ndarray
+    Beta, the magnitudes, the sign and the cosines come from the logits
+    through :func:`magnitude_masks`, :func:`gumbel_sign` and
+    :func:`phase_factors`.
+    """
+
     mask_k: np.ndarray
     mask_notk: np.ndarray
 
@@ -93,22 +82,16 @@ def magnitude_masks(logits: MaskLogits):
     return mag_k, beta - mag_k, beta
 
 
-def gumbel_sign(q0, q1, cfg: GumbelConfig = GumbelConfig()):
+def gumbel_sign(q0, q1):
     """Rotation sign grid xi in {-1, +1} from the two sign logits.
 
-    Deterministic mode is a hard argmax (noise-free; the softmax temperature
-    cancels). Stochastic mode perturbs each logit with i.i.d. Gumbel(0, 1)
-    noise from the seeded generator, reproducing the training-time sampling
-    distribution. Ties select +1.
+    The inference-time Gumbel-softmax: a hard argmax, -1 where q0 > q1 and
+    +1 otherwise, so ties select +1 (the softmax temperature cancels).
     """
     q0 = np.asarray(q0, dtype=np.float64)
     q1 = np.asarray(q1, dtype=np.float64)
     if q0.shape != q1.shape:
         raise ValueError("q0 and q1 must share one shape")
-    if cfg.mode == "stochastic":
-        rng = np.random.default_rng(cfg.seed)
-        q0 = q0 + rng.gumbel(size=q0.shape)
-        q1 = q1 + rng.gumbel(size=q1.shape)
     return np.where(q0 > q1, -1.0, 1.0)
 
 
@@ -137,18 +120,13 @@ def phase_factors(mag_k, mag_notk):
     return cos_dk, sin_dk, cos_dnotk, sin_dnotk
 
 
-def assemble_masks(logits: MaskLogits, cfg: GumbelConfig = GumbelConfig()) -> PhmMaskField:
+def assemble_masks(logits: MaskLogits) -> PhmMaskField:
     """Compose magnitudes, sign selection and phase factors into complex masks."""
-    mag_k, mag_notk, beta = magnitude_masks(logits)
-    xi = gumbel_sign(logits.q0, logits.q1, cfg)
+    mag_k, mag_notk, _ = magnitude_masks(logits)
+    xi = gumbel_sign(logits.q0, logits.q1)
     cos_dk, sin_dk, cos_dnotk, sin_dnotk = phase_factors(mag_k, mag_notk)
-    mask_k = mag_k * (cos_dk + 1j * xi * sin_dk)
-    mask_notk = mag_notk * (cos_dnotk - 1j * xi * sin_dnotk)
-    return PhmMaskField(
-        mag_k=mag_k, mag_notk=mag_notk, beta=beta, xi=xi,
-        cos_dk=cos_dk, cos_dnotk=cos_dnotk,
-        mask_k=mask_k, mask_notk=mask_notk,
-    )
+    return PhmMaskField(mask_k=mag_k * (cos_dk + 1j * xi * sin_dk),
+                        mask_notk=mag_notk * (cos_dnotk - 1j * xi * sin_dnotk))
 
 
 def _bins_of(X):
@@ -231,9 +209,13 @@ def oracle_fit(X, Y_target) -> MaskLogits:
 
 
 def check_reverb_gain_db(reverb_gain_db: float) -> None:
-    """Reject a remix gain that would make the output non-finite (NaN, +inf)."""
-    if np.isnan(reverb_gain_db) or np.isposinf(reverb_gain_db):
-        raise ValueError(f"reverb_gain_db must be finite or -inf, got {reverb_gain_db}")
+    """Reject a remix gain whose linear factor 10^(gain_db/20) is not finite
+    (NaN, +inf, or above about 6165 dB, where the power overflows)."""
+    with np.errstate(over="ignore"):
+        linear = np.power(10.0, reverb_gain_db / 20.0)
+    if not np.isfinite(linear):
+        raise ValueError(f"reverb_gain_db must be finite or -inf, with 10^(gain/20) "
+                         f"finite too; got {reverb_gain_db}")
 
 
 def remix(y_d, y_r, reverb_gain_db: float) -> SignalBuffer:

@@ -140,11 +140,11 @@ class StreamState:
     :func:`stream_push`.
     """
 
-    def __init__(self, cfg: UNetConfig, weights: WeightSet, plan: StreamPlan | None = None):
+    def __init__(self, cfg: UNetConfig, weights: WeightSet):
         validate_weights(cfg, weights)
         self.cfg = cfg
         self.weights = weights
-        self.plan = plan if plan is not None else StreamPlan(cfg)
+        self.plan = StreamPlan(cfg)
         dtype = weights.dtype
         self.rings = [_Ring(self.plan.capacity[0], (FEATURE_CHANNELS, cfg.in_bins), dtype)]
         for l, spec in enumerate(cfg.encoder):

@@ -175,6 +175,11 @@ def config_to_json_dict(cfg: UNetConfig) -> dict:
     return data
 
 
+def _check_int(value, what: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 def config_from_json_dict(data: dict) -> UNetConfig:
     """Inverse of config_to_json_dict; malformed input is a ValueError."""
     if not isinstance(data, dict):
@@ -185,10 +190,22 @@ def config_from_json_dict(data: dict) -> UNetConfig:
     for key in ("encoder", "decoder_channels"):
         if key not in data:
             raise ValueError(f"config is missing {key!r}")
+        if not isinstance(data[key], list):
+            raise ValueError(f"config {key!r} must be a list, got {data[key]!r}")
     for i, entry in enumerate(data["encoder"]):
         if not isinstance(entry, dict) or set(entry) != set(_SPEC_KEYS):
             raise ValueError(f"encoder entry {i + 1} must have exactly the keys "
                              f"{list(_SPEC_KEYS)}")
+        for key, value in entry.items():
+            _check_int(value, f"encoder entry {i + 1} {key!r}")
+    for width in data["decoder_channels"]:
+        _check_int(width, "config 'decoder_channels' entry")
+    for key in ("in_bins", "in_frames", "lookahead_frames"):
+        if key in data:
+            _check_int(data[key], f"config {key!r}")
+    slope = data.get("activation_slope", 0.0)
+    if isinstance(slope, bool) or not isinstance(slope, (int, float)):
+        raise ValueError(f"config 'activation_slope' must be a number, got {slope!r}")
     return UNetConfig(**{**data, "encoder": tuple(ConvSpec(**e) for e in data["encoder"]),
                          "decoder_channels": tuple(data["decoder_channels"])})
 

@@ -260,6 +260,9 @@ def test_bench_ops_degenerate_config(tmp_path, capsys):
     ({"encoder": [_ENC1_1X1], "decoder_channels": [6], "in_channels": 5}, "unknown"),
     ({"encoder": [{"kernel_f": 1}], "decoder_channels": [6]}, "encoder entry 1"),
     ({"encoder": [{**_ENC1_1X1, "pad": 0}], "decoder_channels": [6]}, "encoder entry 1"),
+    ({"encoder": 5, "decoder_channels": [6]}, "'encoder'"),
+    ({"encoder": [_ENC1_1X1], "decoder_channels": 4}, "'decoder_channels'"),
+    ({"encoder": [{**_ENC1_1X1, "kernel_f": "1"}], "decoder_channels": [6]}, "'kernel_f'"),
 ])
 def test_bench_ops_malformed_config_is_a_clean_error(tmp_path, capsys, cfg_json, match):
     path = tmp_path / "cfg.json"
