@@ -20,17 +20,12 @@ def _run(demo, tmp_path):
     assert proc.returncode == 0, proc.stderr[-2000:]
 
 
-RERUN = ("full_pipeline.py", "oracle_separation.py")  # demos that write files
-ONCE = [d for d in DEMOS if d.name not in RERUN]
-
-
-@pytest.mark.parametrize("demo", ONCE, ids=[d.name for d in ONCE])
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
     _run(demo, tmp_path)
 
 
-# each run asserts exit code 0, so these also cover test_demo_runs for RERUN
-@pytest.mark.parametrize("name", RERUN)
+@pytest.mark.parametrize("name", ["full_pipeline.py", "oracle_separation.py"])
 def test_demo_rerun_overwrites_its_output(name, tmp_path):
     def listing():
         return sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*"))
