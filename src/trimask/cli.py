@@ -68,8 +68,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_enhance(args) -> int:
-    if args.weights is None and args.seed is None:
-        print("error: one of --weights or --seed is required", file=sys.stderr)
+    if (args.weights is None) == (args.seed is None):
+        print("error: exactly one of --weights or --seed is required", file=sys.stderr)
         return 2
     stft_cfg = PRESETS[args.preset]
     cfg = config_for_preset(stft_cfg, lookahead_ms=args.lookahead_ms)

@@ -5,13 +5,16 @@ the analysis window ending at frame n, read out at the target position
 (window end minus lookahead). Because every tensor's frame lattice is pinned
 to the window end, each encoder layer gains exactly one new frame per push
 (at a fixed offset behind the newest input frame) and all older frames are
-reused from ring buffers. Strided layers interleave prod(s_l) lattice phases
-in one ring; required_queues() reports that phase count.
+reused from per-level queues of fixed lookback. Every read of a queue sits a
+fixed distance behind its newest frame, so the plan stores it as a static
+slice and a queue's capacity is 1 + its deepest read. Strided layers
+interleave prod(s_l) lattice phases in one queue; required_queues() reports
+that phase count.
 
 Decoder transposed-convolution frames near the stream edge have truncated
 contributor sets whose values legitimately change as the window advances, so
 the (few) frames feeding the single emitted output are recomputed each push;
-the skip-connection inputs they consume come from the encoder rings and are
+the skip-connection inputs they consume come from the encoder queues and are
 never recomputed.
 """
 
@@ -44,7 +47,8 @@ class _DecoderStep:
     inputs: tuple              # window indices of the input frames, ascending
     out_frames: tuple          # window indices of frames to compute
     taps: tuple                # per out frame: tuple of (in_idx, kernel_tap)
-    skip_level: int            # encoder level providing the concat half (0 = none)
+    level: int                 # encoder level read: the bottleneck for dec1, else the skip
+    read: slice                # that level's queue rows holding the frames at `inputs`
 
 
 class StreamPlan:
@@ -56,81 +60,49 @@ class StreamPlan:
         t0 = cfg.in_frames
 
         # encoder geometry
-        self.enc_T = [t0]
         self.lattice = [1]
         self.delta = [0]  # lookback of each level's newest frame behind the push
         for spec in cfg.encoder:
             self.delta.append(self.delta[-1] + (spec.kernel_t - 1) * self.lattice[-1])
             self.lattice.append(self.lattice[-1] * spec.stride_t)
-            self.enc_T.append((self.enc_T[-1] - spec.kernel_t) // spec.stride_t + 1)
-        for l in range(L + 1):
-            assert self.delta[l] == (t0 - 1) - (self.enc_T[l] - 1) * self.lattice[l]
-
-        self.enc_F = [cfg.in_bins]
-        for spec in cfg.encoder:
-            self.enc_F.append((self.enc_F[-1] - spec.kernel_f) // spec.stride_f + 1)
 
         self.warmup = t0  # pushes before the first emission
 
         # decoder needs, resolved backward from the single target frame
-        enc_needs = {l: set() for l in range(1, L + 1)}
         dec_T = [t for _, t in cfg.decoder_shapes()]
         assert dec_T[L] == t0
-
         needed = {cfg.target_index}
-        rev_steps = []
+        steps = []  # (layer, inputs, out_frames, taps), ascending layer
         for j in range(L, 0, -1):
             spec = cfg.decoder[j - 1]
             kt, st = spec.kernel_t, spec.stride_t
-            in_len = dec_T[j - 1]
             out_frames = tuple(sorted(needed))
             taps = []
-            need_in = set()
             for p in out_frames:
                 lo = max(0, -(-(p - kt + 1) // st))  # ceil
-                hi = min(in_len - 1, p // st)
-                row = tuple((q, p - q * st) for q in range(lo, hi + 1))
-                if not row:
+                hi = min(dec_T[j - 1] - 1, p // st)
+                if lo > hi:
                     raise ValueError(f"dec{j}: output frame {p} has no contributors")
-                taps.append(row)
-                need_in.update(q for q, _ in row)
-            skip_level = L - j + 1 if j >= 2 else 0
-            enc_needs[skip_level or L].update(need_in)
-            rev_steps.append(_DecoderStep(layer=j, inputs=tuple(sorted(need_in)),
-                                          out_frames=out_frames, taps=tuple(taps),
-                                          skip_level=skip_level))
-            needed = need_in
-        self.steps: list[_DecoderStep] = list(reversed(rev_steps))
+                taps.append(tuple((q, p - q * st) for q in range(lo, hi + 1)))
+            needed = {q for row in taps for q, _ in row}  # contiguous: rows overlap or abut
+            steps.insert(0, (j, tuple(sorted(needed)), out_frames, tuple(taps)))
 
-        # ring capacities: newest frame of level l sits delta[l] behind the
-        # push; capacity covers the oldest slot any consumer asks for
-        self.capacity = [0] * (L + 1)
-        for l in range(L + 1):
-            lookbacks = [self.delta[l]]
-            if l < L:
-                lookbacks.append(self.delta[l + 1])  # oldest tap of level l+1
-            if l >= 1:
-                lookbacks.append((t0 - 1) - min(enc_needs[l]) * self.lattice[l])
-            self.capacity[l] = max(lookbacks) - self.delta[l] + 1
+        # every queue read as (level, oldest, newest) lookback behind the level's
+        # newest frame: each encoder slab, then each decoder step's input frames
+        def lookback(level, q):
+            return (t0 - 1) - q * self.lattice[level] - self.delta[level]
 
-
-class _Ring:
-    """Fixed-capacity per-layer frame cache keyed by absolute slot index."""
-
-    def __init__(self, capacity: int, shape: tuple, dtype):
-        self.capacity = capacity
-        self.buf = np.zeros((capacity,) + shape, dtype=dtype)
-        self.newest = -1
-
-    def append(self, slot: int, frame: np.ndarray) -> None:
-        self.buf[slot % self.capacity] = frame
-        self.newest = slot
-
-    def get(self, slot: int) -> np.ndarray:
-        if slot > self.newest or slot <= self.newest - self.capacity:
-            raise KeyError(f"slot {slot} not cached (newest {self.newest}, "
-                           f"capacity {self.capacity})")
-        return self.buf[slot % self.capacity]
+        reads = [(l, (spec.kernel_t - 1) * self.lattice[l], 0)
+                 for l, spec in enumerate(cfg.encoder)]
+        reads += [(L - j + 1, lookback(L - j + 1, inputs[0]), lookback(L - j + 1, inputs[-1]))
+                  for j, inputs, _, _ in steps]
+        self.capacity = [1 + max(old for l, old, _ in reads if l == level)
+                         for level in range(L + 1)]
+        slices = [slice(self.capacity[l] - 1 - old, self.capacity[l] - new, self.lattice[l])
+                  for l, old, new in reads]
+        self.slabs = slices[:L]  # encoder layer l+1's kernel_t frames of queue l
+        self.steps = [_DecoderStep(*step, level=L - step[0] + 1, read=read)
+                      for step, read in zip(steps, slices[L:])]
 
 
 class StreamState:
@@ -145,11 +117,10 @@ class StreamState:
         self.cfg = cfg
         self.weights = weights
         self.plan = StreamPlan(cfg)
-        dtype = weights.dtype
-        self.rings = [_Ring(self.plan.capacity[0], (FEATURE_CHANNELS, cfg.in_bins), dtype)]
-        for l, spec in enumerate(cfg.encoder):
-            self.rings.append(_Ring(self.plan.capacity[l + 1],
-                                    (spec.out_ch, self.plan.enc_F[l + 1]), dtype))
+        # per level, its last `capacity` frames as (capacity, C, F), newest last
+        widths = [FEATURE_CHANNELS] + [spec.out_ch for spec in cfg.encoder]
+        self.queues = [np.zeros((cap, ch, f), dtype=weights.dtype) for cap, ch, (f, _)
+                       in zip(self.plan.capacity, widths, cfg.encoder_shapes())]
         self.frames_ingested = 0
         self.emitted_count = 0
         self.op_counter = {name: 0 for name in cfg.layer_names()}
@@ -157,10 +128,6 @@ class StreamState:
         self.dec_taps = [_pack_decoder(step, weights[f"dec{step.layer}.weight"],
                                        cfg.decoder[step.layer - 1].stride_t)
                          for step in self.plan.steps]
-
-    def queue_depths(self):
-        """Logical stride-phase queue count per encoder depth."""
-        return [required_queues(self.cfg, d) for d in range(1, self.cfg.depth + 1)]
 
 
 def _pack_decoder(step: _DecoderStep, w: np.ndarray, st: int) -> list:
@@ -184,33 +151,29 @@ def _pack_decoder(step: _DecoderStep, w: np.ndarray, st: int) -> list:
     return out
 
 
-def _encoder_step(state: StreamState, level: int, slot: int) -> np.ndarray:
-    """Compute encoder `level`'s frame at absolute slot index `slot`."""
+def _append(queue: np.ndarray, frame: np.ndarray) -> None:
+    queue[:-1] = queue[1:]
+    queue[-1] = frame
+
+
+def _encoder_step(state: StreamState, level: int) -> np.ndarray:
+    """Compute encoder `level`'s newest frame from its slab of the level below."""
     spec = state.cfg.encoder[level - 1]
-    lattice = state.plan.lattice[level - 1]
-    src = state.rings[level - 1]
-    x = np.stack([src.get(slot + i * lattice) for i in range(spec.kernel_t)], axis=-1)
+    x = state.queues[level - 1][state.plan.slabs[level - 1]].transpose(1, 2, 0)
     y = conv_valid(x, state.weights[f"enc{level}.weight"], state.weights[f"enc{level}.bias"],
                    spec.stride_f, 1, state.op_counter, f"enc{level}")
     return leaky(y[:, :, 0], state.cfg.activation_slope)
 
 
-def _decode(state: StreamState, push_index: int):
+def _decode(state: StreamState):
     cfg = state.cfg
-    plan = state.plan
-    w_start = push_index - (cfg.in_frames - 1)
-    L = cfg.depth
-
-    frames = np.stack([state.rings[L].get(w_start + q * plan.lattice[L])
-                       for q in plan.steps[0].inputs])
-    for step, taps in zip(plan.steps, state.dec_taps):
+    frames = None
+    for step, taps in zip(state.plan.steps, state.dec_taps):
         spec = cfg.decoder[step.layer - 1]
         name = f"dec{step.layer}"
         b = state.weights[f"{name}.bias"]
-        if step.skip_level:
-            ring, lattice = state.rings[step.skip_level], plan.lattice[step.skip_level]
-            skips = np.stack([ring.get(w_start + q * lattice) for q in step.inputs])
-            frames = np.concatenate([frames, skips], axis=1)
+        read = state.queues[step.level][step.read]
+        frames = read if frames is None else np.concatenate([frames, read], axis=1)
         _, C, F = frames.shape
         out = np.empty((len(taps), spec.out_ch, (F - 1) * spec.stride_f + spec.kernel_f),
                        dtype=frames.dtype)
@@ -239,15 +202,14 @@ def stream_push(frame: np.ndarray, state: StreamState):
         raise ValueError(f"expected frame shape ({FEATURE_CHANNELS}, {cfg.in_bins}), "
                          f"got {frame.shape}")
     n = state.frames_ingested
-    state.rings[0].append(n, frame)
+    _append(state.queues[0], frame)
     for level in range(1, cfg.depth + 1):
         if n >= plan.delta[level]:
-            out = _encoder_step(state, level, n - plan.delta[level])
-            state.rings[level].append(n - plan.delta[level], out)
+            _append(state.queues[level], _encoder_step(state, level))
     state.frames_ingested += 1
 
     if n < plan.warmup - 1:
         return None
-    head = _decode(state, n)
+    head = _decode(state)
     state.emitted_count += 1
     return head

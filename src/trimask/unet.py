@@ -74,6 +74,8 @@ class UNetConfig:
             raise ValueError("decoder_channels must be >= 1")
         if not (0 <= self.lookahead_frames <= self.in_frames - 1):
             raise ValueError("lookahead_frames out of range")
+        if not np.isfinite(self.activation_slope):
+            raise ValueError(f"activation_slope must be finite, got {self.activation_slope!r}")
         ch = FEATURE_CHANNELS
         f, t = self.in_bins, self.in_frames
         for i, spec in enumerate(self.encoder):

@@ -20,6 +20,12 @@ def test_enhance_requires_weights_or_seed(tmp_path, capsys):
     rc = main(["enhance", "--input", str(src), "--output", str(tmp_path / "out.wav")])
     assert rc == 2
     assert "weights" in capsys.readouterr().err
+    # both is ambiguous too: the seed would be silently ignored (and the file
+    # is never opened, or this missing path would be an exit-1 error)
+    rc = main(["enhance", "--input", str(src), "--output", str(tmp_path / "out.wav"),
+               "--weights", str(tmp_path / "missing.phmw"), "--seed", "3"])
+    assert rc == 2
+    assert "exactly one of --weights or --seed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag,value", [("--reverb-gain-db", "nan"),
@@ -263,6 +269,11 @@ def test_bench_ops_degenerate_config(tmp_path, capsys):
     ({"encoder": 5, "decoder_channels": [6]}, "'encoder'"),
     ({"encoder": [_ENC1_1X1], "decoder_channels": 4}, "'decoder_channels'"),
     ({"encoder": [{**_ENC1_1X1, "kernel_f": "1"}], "decoder_channels": [6]}, "'kernel_f'"),
+    # json.dumps writes these as the NaN / Infinity tokens that json.loads accepts
+    ({"encoder": [_ENC1_1X1], "decoder_channels": [6], "activation_slope": float("nan")},
+     "activation_slope must be finite"),
+    ({"encoder": [_ENC1_1X1], "decoder_channels": [6], "activation_slope": float("inf")},
+     "activation_slope must be finite"),
 ])
 def test_bench_ops_malformed_config_is_a_clean_error(tmp_path, capsys, cfg_json, match):
     path = tmp_path / "cfg.json"

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from trimask import (ConvSpec, UNetConfig, config_for_preset, config_from_json_dict,
                      config_to_json_dict, default_config, fuse_batchnorm,
@@ -7,7 +8,7 @@ from trimask import (ConvSpec, UNetConfig, config_for_preset, config_from_json_d
                      split_head, validate_weights)
 from trimask.masking import assemble_masks, quadrangle_decompose
 from trimask.spectral import NRT_PRESET, RT_PRESET
-from trimask.unet import IDENTITY_HEAD, conv_valid, conv_transposed_valid, leaky
+from trimask.unet import IDENTITY_HEAD, WeightSet, conv_valid, conv_transposed_valid, leaky
 
 
 def test_default_config_shapes():
@@ -54,6 +55,13 @@ def test_config_validation_errors():
 def test_config_rejects_sizes_below_one(spec, decoder_channels, match):
     with pytest.raises(ValueError, match=match):
         UNetConfig(encoder=(spec,), decoder_channels=decoder_channels, in_bins=253)
+
+
+@pytest.mark.parametrize("slope", [float("nan"), float("inf"), -float("inf")])
+def test_config_rejects_non_finite_activation_slope(slope):
+    with pytest.raises(ValueError, match="activation_slope must be finite"):
+        UNetConfig(encoder=(ConvSpec(5, 3, 2, 1, 5, 16),), decoder_channels=(16,),
+                   in_bins=253, activation_slope=slope)
 
 
 def test_decoder_mirrors_encoder_with_skip_widths():
@@ -309,3 +317,32 @@ def test_validate_weights_missing_tensor():
 def test_leaky_slope():
     x = np.array([-2.0, 0.0, 3.0])
     assert np.array_equal(leaky(x, 0.01), [-0.02, 0.0, 3.0])
+
+
+_FUZZ_CFG = UNetConfig(encoder=(ConvSpec(1, 1, 1, 1, 5, 2),), decoder_channels=(2,),
+                       in_bins=3, in_frames=2, lookahead_frames=0)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_weight_file_loads_or_is_a_value_error(tmp_path, data):
+    # one to three byte flips, truncations or insertions anywhere in the file
+    path = tmp_path / "w.phmw"
+    save_weights(path, random_weights(_FUZZ_CFG, 5))
+    raw = bytearray(path.read_bytes())
+    for _ in range(data.draw(st.integers(1, 3))):
+        kind = data.draw(st.sampled_from(["flip", "truncate", "insert"]))
+        if kind == "flip" and raw:
+            raw[data.draw(st.integers(0, len(raw) - 1))] ^= data.draw(st.integers(1, 255))
+        elif kind == "truncate":
+            del raw[data.draw(st.integers(0, len(raw))):]
+        elif kind == "insert":
+            pos = data.draw(st.integers(0, len(raw)))
+            raw[pos:pos] = data.draw(st.binary(min_size=1, max_size=8))
+    path.write_bytes(bytes(raw))
+    try:
+        weights = load_weights(path, _FUZZ_CFG)
+    except ValueError:
+        return
+    assert isinstance(weights, WeightSet)
