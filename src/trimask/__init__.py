@@ -9,7 +9,7 @@ per-layer frame queues.
 
 from .types import SAMPLE_RATE, ComplexSpectrogram, FeatureStack, SignalBuffer
 from .spectral import (NRT_PRESET, PRESETS, RT_PRESET, StftConfig,
-                       extract_features, istft, restore_low_bins, stft,
+                       OverlapAdd, extract_features, istft, restore_low_bins, stft,
                        trim_low_bins)
 from .wavio import read_wav, write_wav
 from .masking import (MaskLogits, PhmMaskField, apply_mask, assemble_masks,
@@ -26,7 +26,8 @@ from .opcount import LayerOps, OpCountReport, count_ops, measured_ops
 from .simulate import (MixtureTruth, RirParams, ScenarioRanges, mix,
                        sample_scenario, synth_rir, tail_envelope)
 from .metrics import MetricReport, evaluate_pair, phase_distance, phase_gain, si_sdr
-from .dynamics import DrcConfig, compress
-from .enhance import EnhanceResult, enhance, oracle_reconstruct
+from .dynamics import DrcConfig, DrcState, compress
+from .enhance import (EnhancedSamples, EnhanceResult, StreamingEnhancer, enhance,
+                      oracle_reconstruct)
 
 __version__ = "0.1.0"

@@ -7,12 +7,16 @@ levels are RMS dB. The pre-average removes the double-frequency ripple of
 tonal inputs, which would otherwise bias the asymmetric follower above the
 RMS level. Gain is applied sample-synchronously with no lookahead: output n
 depends only on inputs <= n.
+
+A signal may be compressed in consecutive blocks through one
+:class:`DrcState`; the blocks' outputs then equal one whole-signal call
+bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,30 +41,51 @@ class DrcConfig:
             raise ValueError("attack/release must be positive")
 
 
-def compress(signal, cfg: DrcConfig = DrcConfig()) -> SignalBuffer:
+@dataclass
+class DrcState:
+    """What the compressor carries from one block to the next: the follower
+    envelope and the running sums of x^2 at the last `_POWER_WINDOW` + 1
+    sample boundaries (fewer at the head of the signal), oldest first."""
+
+    env: float = 0.0
+    csum: np.ndarray = field(default_factory=lambda: np.zeros(1))
+
+
+def compress(signal, cfg: DrcConfig = DrcConfig(), state: DrcState | None = None) -> SignalBuffer:
     """Feedforward compressor: gain_db = min(0, (threshold - env_db) *
-    (1 - 1/ratio)) + makeup_db, evaluated per sample."""
+    (1 - 1/ratio)) + makeup_db, evaluated per sample.
+
+    With ``state``, the signal continues the one that state has seen, and
+    the state advances past it.
+    """
     x = as_samples(signal)
     makeup = 10.0 ** (cfg.makeup_db / 20.0)
     if cfg.ratio == 1.0:
         return SignalBuffer(samples=x * makeup)
+    if state is None:
+        state = DrcState()
 
     a_att = 1.0 - math.exp(-1.0 / (cfg.attack_ms * 16.0))
     a_rel = 1.0 - math.exp(-1.0 / (cfg.release_ms * 16.0))
     slope = 1.0 - 1.0 / cfg.ratio
 
-    # causal moving-average power (partial windows at the head)
-    csum = np.concatenate([[0.0], np.cumsum(x * x)])
-    start = np.maximum(np.arange(len(x)) + 1 - _POWER_WINDOW, 0)
-    power = (csum[1:] - csum[start]) / (np.arange(len(x)) + 1 - start)
+    # causal moving-average power (partial windows at the head); the running
+    # sum continues from the carried one, so it adds in whole-signal order
+    carried = len(state.csum)
+    sq = np.concatenate([state.csum[-1:], x * x])
+    csum = np.concatenate([state.csum[:-1], np.cumsum(sq)])
+    end = np.arange(carried, carried + len(x))
+    start = np.maximum(end - _POWER_WINDOW, 0)
+    power = (csum[end] - csum[start]) / (end - start)
+    state.csum = csum[-(_POWER_WINDOW + 1):]
 
-    out = np.empty_like(x)
-    env = 0.0
-    for n in range(len(x)):
-        p = power[n]
-        coeff = a_att if p > env else a_rel
-        env += coeff * (p - env)
-        env_db = 10.0 * math.log10(env + _ENV_FLOOR)
-        gain_db = min(0.0, (cfg.threshold_db - env_db) * slope) + cfg.makeup_db
-        out[n] = x[n] * 10.0 ** (gain_db / 20.0)
-    return SignalBuffer(samples=out)
+    env = []
+    e = state.env
+    for p in power.tolist():
+        e += (a_att if p > e else a_rel) * (p - e)
+        env.append(e)
+    state.env = e
+
+    env_db = 10.0 * np.log10(np.array(env) + _ENV_FLOOR)
+    gain_db = np.minimum(0.0, (cfg.threshold_db - env_db) * slope) + cfg.makeup_db
+    return SignalBuffer(samples=x * 10.0 ** (gain_db / 20.0))

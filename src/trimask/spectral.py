@@ -42,9 +42,6 @@ class StftConfig:
             return 0
         return (n_samples - self.window_size) // self.hop_size + 1
 
-    def frames_to_samples(self, n_frames: int) -> int:
-        return (n_frames - 1) * self.hop_size + self.window_size
-
 
 # Shipped presets: real-time (512-point, 4 lowest bins discarded) and
 # non-real-time (1024-point).
@@ -77,7 +74,30 @@ def stft(signal, cfg: StftConfig) -> ComplexSpectrogram:
     return ComplexSpectrogram(bins=bins, bin_offset=0)
 
 
-def istft(spec: ComplexSpectrogram, cfg: StftConfig, length: int | None = None) -> SignalBuffer:
+class OverlapAdd:
+    """What a streamed inverse STFT carries between calls: the unnormalised
+    sums and squared-window sums of the ``window_size - hop_size`` samples
+    that later frames still add to."""
+
+    def __init__(self, cfg: StftConfig):
+        overlap = cfg.window_size - cfg.hop_size
+        self.y = np.zeros(overlap)
+        self.norm = np.zeros(overlap)
+
+    def finish(self) -> np.ndarray:
+        """The stream's last ``window_size - hop_size`` samples, normalised."""
+        return _normalise(self.y.copy(), self.norm)
+
+
+def _normalise(y: np.ndarray, norm: np.ndarray) -> np.ndarray:
+    nonzero = norm > 1e-10
+    y[nonzero] /= norm[nonzero]
+    y[~nonzero] = 0.0
+    return y
+
+
+def istft(spec: ComplexSpectrogram, cfg: StftConfig, length: int | None = None,
+          carry: OverlapAdd | None = None) -> SignalBuffer:
     """Inverse STFT by weighted overlap-add.
 
     The synthesis window equals the analysis window; each output sample is
@@ -85,6 +105,13 @@ def istft(spec: ComplexSpectrogram, cfg: StftConfig, length: int | None = None) 
     ``istft(stft(x))`` exact wherever the window coverage is nonzero.
     Trimmed spectra must be zero-padded back first via
     :func:`restore_low_bins`.
+
+    With ``carry``, the frames continue a stream: they add onto the overlap
+    that ``carry`` holds from earlier calls, only the ``hop_size`` samples
+    per frame that no later frame reaches are returned, and the rest stays
+    in ``carry`` until :meth:`OverlapAdd.finish`. Each sample then adds its
+    frames in the same order as one whole-signal call, so the two agree bit
+    for bit; ``length`` applies only without ``carry``.
     """
     if spec.bin_count != cfg.bin_count:
         raise ValueError(
@@ -96,18 +123,21 @@ def istft(spec: ComplexSpectrogram, cfg: StftConfig, length: int | None = None) 
     frames = np.fft.irfft(spec.bins, n=cfg.fft_size, axis=1)[:, : cfg.window_size]
     frames = frames * win[None, :]
 
-    out_len = cfg.frames_to_samples(n_frames)
-    y = np.zeros(out_len)
-    norm = np.zeros(out_len)
+    ola = carry if carry is not None else OverlapAdd(cfg)
+    done = n_frames * cfg.hop_size  # samples no later frame reaches
+    y = np.concatenate([ola.y, np.zeros(done)])
+    norm = np.concatenate([ola.norm, np.zeros(done)])
     wsq = win * win
     for t in range(n_frames):
         start = t * cfg.hop_size
         y[start : start + cfg.window_size] += frames[t]
         norm[start : start + cfg.window_size] += wsq
-    nonzero = norm > 1e-10
-    y[nonzero] /= norm[nonzero]
-    y[~nonzero] = 0.0
+    if carry is not None:
+        carry.y, carry.norm = y[done:].copy(), norm[done:].copy()
+        return SignalBuffer(samples=_normalise(y[:done], norm[:done]))
+    y = _normalise(y, norm)
 
+    out_len = len(y)
     if length is not None:
         if length <= out_len:
             y = y[:length]
@@ -141,7 +171,8 @@ def _wrap_phase(x: np.ndarray) -> np.ndarray:
     return -(np.mod(np.pi - x, 2.0 * np.pi) - np.pi)
 
 
-def extract_features(spec: ComplexSpectrogram, cfg: StftConfig) -> FeatureStack:
+def extract_features(spec: ComplexSpectrogram, cfg: StftConfig, first_frame: int = 0,
+                     prev_phase: np.ndarray | None = None) -> FeatureStack:
     """Build the 5-channel input feature stack from a (trimmed) spectrogram.
 
     ch0: log(|X| + eps); ch1/ch2: cos/sin of the demodulated phase, where
@@ -150,6 +181,11 @@ def extract_features(spec: ComplexSpectrogram, cfg: StftConfig) -> FeatureStack:
     (wrapped backward difference along f, first column zero); ch4:
     delta-phase (wrapped backward difference along t, first row zero).
     Zero-magnitude bins take phase 0, so their demodulated phase is 0.
+
+    A spectrogram that continues a stream passes the stream index of its
+    first frame (``first_frame``, for the demodulation) and the phase of
+    the frame before it (``prev_phase``, for ch4's first row); the features
+    then equal those rows of a whole-signal call.
     """
     mag = np.abs(spec.bins)
     phase = np.angle(spec.bins)
@@ -158,7 +194,7 @@ def extract_features(spec: ComplexSpectrogram, cfg: StftConfig) -> FeatureStack:
     ch0 = np.log(mag + EPS_MAG)
 
     f_phys = np.arange(n_bins) + spec.bin_offset
-    t_idx = np.arange(n_frames)
+    t_idx = np.arange(first_frame, first_frame + n_frames)
     ramp = 2.0 * np.pi * cfg.hop_size / cfg.fft_size * np.outer(t_idx, f_phys)
     demod = _wrap_phase(phase - ramp)
     demod = np.where(mag == 0.0, 0.0, demod)
@@ -169,5 +205,7 @@ def extract_features(spec: ComplexSpectrogram, cfg: StftConfig) -> FeatureStack:
     ch3[:, 1:] = _wrap_phase(phase[:, 1:] - phase[:, :-1])
     ch4 = np.zeros_like(phase)
     ch4[1:, :] = _wrap_phase(phase[1:, :] - phase[:-1, :])
+    if prev_phase is not None and n_frames:
+        ch4[0] = _wrap_phase(phase[0] - prev_phase)
 
     return FeatureStack(channels=np.stack([ch0, ch1, ch2, ch3, ch4]))

@@ -10,6 +10,7 @@ grids of the two mask pairs (direct-vs-rest, noise-vs-rest).
 from __future__ import annotations
 
 import struct
+import zlib
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -25,7 +26,7 @@ IDENTITY_HEAD = np.array([LOGIT_CLAMP, -LOGIT_CLAMP, -LOGIT_CLAMP, 0.0, 1.0,
                           -LOGIT_CLAMP, LOGIT_CLAMP, -LOGIT_CLAMP, 0.0, 1.0])
 
 _MAGIC = b"PHMW"
-_VERSION = 1
+_VERSION = 2  # 2 appends a CRC32 of every byte before it; 1 has no checksum
 
 
 @dataclass(frozen=True)
@@ -265,27 +266,30 @@ def validate_weights(cfg: UNetConfig, weights: WeightSet) -> None:
 
 
 def save_weights(path, weights: WeightSet) -> None:
-    """Binary container: magic, version, then per-layer name + dims + f32 data."""
+    """Binary container: magic, version, then per-layer name + dims + f32
+    data, then a CRC32 of all of the above."""
+    parts = [_MAGIC, struct.pack("<II", _VERSION, len(weights.tensors))]
+    for name, tensor in weights.tensors.items():
+        raw = name.encode("utf-8")
+        parts += [struct.pack("<I", len(raw)), raw, struct.pack("<I", tensor.ndim),
+                  struct.pack(f"<{tensor.ndim}I", *tensor.shape),
+                  np.ascontiguousarray(tensor, dtype="<f4").tobytes()]
+    data = b"".join(parts)
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<II", _VERSION, len(weights.tensors)))
-        for name, tensor in weights.tensors.items():
-            raw = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(raw)))
-            fh.write(raw)
-            fh.write(struct.pack("<I", tensor.ndim))
-            fh.write(struct.pack(f"<{tensor.ndim}I", *tensor.shape))
-            fh.write(np.ascontiguousarray(tensor, dtype="<f4").tobytes())
+        fh.write(data + struct.pack("<I", zlib.crc32(data)))
 
 
 def load_weights(path, cfg: UNetConfig | None = None) -> WeightSet:
+    """Read a version 2 or version 1 PHMW file. A version 2 file whose
+    checksum does not match, and any byte after the data, is a ValueError."""
     with open(path, "rb") as fh:
         data = fh.read()
     off = 0
+    end = len(data)
 
     def take(n: int) -> bytes:
         nonlocal off
-        if off + n > len(data):
+        if off + n > end:
             raise ValueError(f"truncated weight file {path}")
         chunk = data[off : off + n]
         off += n
@@ -294,8 +298,12 @@ def load_weights(path, cfg: UNetConfig | None = None) -> WeightSet:
     if take(4) != _MAGIC:
         raise ValueError(f"bad magic in weight file {path}")
     version, count = struct.unpack("<II", take(8))
-    if version != _VERSION:
+    if version not in (1, 2):
         raise ValueError(f"unsupported weight file version {version}")
+    if version == 2:
+        end -= 4  # the checksum
+        if end < off:
+            raise ValueError(f"truncated weight file {path}")
     tensors = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<I", take(4))
@@ -307,6 +315,10 @@ def load_weights(path, cfg: UNetConfig | None = None) -> WeightSet:
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"non-finite values in tensor {name} of weight file {path}")
         tensors[name] = arr.astype(np.float32)
+    if off != end:
+        raise ValueError(f"{end - off} trailing bytes in weight file {path}")
+    if version == 2 and struct.unpack("<I", data[end:])[0] != zlib.crc32(memoryview(data)[:end]):
+        raise ValueError(f"checksum mismatch in weight file {path}")
     ws = WeightSet(tensors, provenance=f"file:{path}")
     if cfg is not None:
         validate_weights(cfg, ws)

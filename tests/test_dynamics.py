@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trimask import DrcConfig, compress
+from trimask.dynamics import DrcState
 
 
 def test_ratio_one_is_pure_makeup():
@@ -70,3 +72,15 @@ def test_drc_config_validation():
         DrcConfig(ratio=0.5)
     with pytest.raises(ValueError):
         DrcConfig(attack_ms=0.0)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**16), cuts=st.lists(st.integers(0, 3000), max_size=12))
+def test_block_splits_equal_the_whole_signal_exactly(seed, cuts):
+    # the carried follower and running power sum continue bit for bit
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-0.9, 0.9, 3000) * np.linspace(0.0, 1.0, 3000)
+    cfg = DrcConfig(threshold_db=-24.0, ratio=4.0, attack_ms=1.0, release_ms=10.0)
+    state = DrcState()
+    blocks = [compress(b, cfg, state).samples for b in np.split(x, sorted(cuts))]
+    assert np.array_equal(np.concatenate(blocks), compress(x, cfg).samples)

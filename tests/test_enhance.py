@@ -1,12 +1,26 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from trimask import (DrcConfig, WeightSet, enhance, istft, oracle_reconstruct,
-                     random_weights, restore_low_bins, sample_scenario, si_sdr,
-                     stft, trim_low_bins)
+from trimask import (ConvSpec, DrcConfig, StftConfig, StreamingEnhancer, UNetConfig,
+                     WeightSet, enhance, istft, oracle_reconstruct, random_weights,
+                     restore_low_bins, sample_scenario, si_sdr, stft, trim_low_bins)
 from trimask.masking import LOGIT_CLAMP
-from trimask.spectral import RT_PRESET
+from trimask.spectral import NRT_PRESET, RT_PRESET
 from trimask.unet import config_for_preset
+
+COMPONENTS = ("direct", "reverb", "noise", "remixed")
+
+# a small U-Net on the rt preset's 253 bins, for tests that run many streams
+_SMALL_RT_CFG = UNetConfig(encoder=(ConvSpec(5, 3, 2, 1, 5, 4), ConvSpec(5, 3, 2, 2, 4, 4)),
+                           decoder_channels=(4, 4), in_bins=253, in_frames=9,
+                           lookahead_frames=2)
+# a small STFT and a U-Net on its 64 bins, so that a short signal spans many frames
+_TINY_STFT = StftConfig(window_size=128, hop_size=32, fft_size=128, discard_low_bins=1)
+_TINY_CFG = UNetConfig(encoder=(ConvSpec(4, 3, 2, 1, 5, 4), ConvSpec(5, 3, 2, 2, 4, 6)),
+                       decoder_channels=(4, 4), in_bins=64, in_frames=9, lookahead_frames=2)
 
 
 def _band_limited_signal(seed, n=14000):
@@ -179,6 +193,100 @@ def test_enhance_rejects_non_finite_head_logits(rt_setup, monkeypatch, mode):
     # the direct pair passes and the noise pair fails, each checked once over
     # the whole grid rather than once per emitted frame
     assert len(validated) == 2
+
+
+def test_enhance_rejects_bin_mismatch_before_stft(monkeypatch):
+    import trimask.spectral
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("spectral.stft reached with mismatched bins")
+
+    monkeypatch.setattr(trimask.spectral, "stft", unreachable)
+    cfg = config_for_preset(NRT_PRESET)  # 513 bins against rt's 253
+    with pytest.raises(ValueError, match="513 bins"):
+        enhance(_band_limited_signal(6, n=8000), random_weights(cfg, 0), cfg, RT_PRESET)
+
+
+def _stream(engine, x, cuts):
+    """Run `x` through `engine` split at `cuts`; the concatenated outputs.
+    Each chunk comes in a buffer that is overwritten once `process` returns."""
+    parts = []
+    for chunk in np.split(x, cuts):
+        buffer = chunk.copy()
+        parts.append(engine.process(buffer))
+        buffer[:] = 0.0
+    parts.append(engine.flush())
+    return {c: np.concatenate([getattr(p, c) for p in parts]) for c in COMPONENTS}
+
+
+def _cuts(rng, n, max_chunk):
+    sizes = rng.integers(1, max_chunk + 1, size=n // max_chunk * 2 + 2)
+    return [c for c in np.cumsum(sizes) if c < n]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(_TINY_STFT.window_size, 2500), seed=st.integers(0, 2**16),
+       max_chunk=st.one_of(st.integers(1, 40), st.integers(1, 2500)),
+       mode=st.sampled_from(["causal-stream", "noncausal-window"]), drc=st.booleans())
+def test_streaming_enhancer_equals_enhance_for_any_chunking(n, seed, max_chunk, mode, drc):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-0.5, 0.5, n)
+    weights = random_weights(_TINY_CFG, seed, dtype=np.float64)
+    args = (weights, _TINY_CFG, _TINY_STFT, mode, -6.0, DrcConfig() if drc else None)
+    engine = StreamingEnhancer(*args)
+    streamed = _stream(engine, x, _cuts(rng, n, min(max_chunk, n)))
+    whole = enhance(x, *args)
+    assert (engine.frames_total, engine.frames_emitted) == \
+        (whole.frames_total, whole.frames_emitted)
+    for c in COMPONENTS:
+        assert streamed[c].shape == (n,)
+        assert np.max(np.abs(streamed[c] - getattr(whole, c).samples)) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(n=st.one_of(st.integers(RT_PRESET.window_size, 4000), st.integers(16000, 3 * 16000)),
+       seed=st.integers(0, 2**16),
+       scale=st.sampled_from([0.0, 0.1, 1.0, 30.0, 1e4]), chunks=st.integers(1, 6))
+def test_components_close_on_the_round_trip_for_any_weights(n, seed, scale, chunks):
+    # large scales saturate the sigmoids, the beta clip and the sign argmax
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n) * 0.3
+    w = random_weights(_SMALL_RT_CFG, seed, dtype=np.float64)
+    weights = WeightSet({k: v * scale for k, v in w.tensors.items()})
+    engine = StreamingEnhancer(weights, _SMALL_RT_CFG, RT_PRESET)
+    parts = _stream(engine, x, sorted(rng.integers(0, n, size=chunks - 1)))
+    resum = parts["direct"] + parts["reverb"] + parts["noise"]
+    n_trim = RT_PRESET.discard_low_bins
+    spec = restore_low_bins(trim_low_bins(stft(x, RT_PRESET), n_trim), n_trim)
+    reference = istft(spec, RT_PRESET, length=n).samples
+    assert np.linalg.norm(resum - reference) <= 1e-6 * np.linalg.norm(reference)
+
+
+def test_streaming_enhancer_rejects_short_streams_and_reuse():
+    engine = StreamingEnhancer(random_weights(_TINY_CFG, 0), _TINY_CFG, _TINY_STFT)
+    assert len(engine.process(np.zeros(100)).direct) == 0
+    with pytest.raises(ValueError, match="insufficient samples"):
+        engine.flush()
+    with pytest.raises(ValueError, match="flushed"):
+        engine.process(np.zeros(200))
+
+
+def test_enhance_memory_does_not_grow_with_length():
+    # tracemalloc peak beyond the result's own bytes, at 4 s and at 16 s; a
+    # one-layer network keeps the pushes cheap under tracemalloc
+    cfg = UNetConfig(encoder=(ConvSpec(5, 2, 2, 1, 5, 2),), decoder_channels=(2,),
+                     in_bins=253, in_frames=2, lookahead_frames=1)
+    weights = random_weights(cfg, 3, dtype=np.float64)
+    x = np.random.default_rng(0).uniform(-0.5, 0.5, 16 * 16000)
+    extra = []
+    for seconds in (4, 16):
+        tracemalloc.start()
+        result = enhance(x[: seconds * 16000], weights, cfg, RT_PRESET)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        extra.append(peak - sum(getattr(result, c).samples.nbytes for c in COMPONENTS))
+        del result
+    assert extra[1] <= 1.5 * extra[0], extra
 
 
 def test_oracle_reconstruction_high_si_sdr():

@@ -279,6 +279,34 @@ def test_weights_truncated_file(tmp_path):
         load_weights(path)
 
 
+def test_weights_version_1_file_still_loads(tmp_path):
+    # a version 1 file is the version 2 layout without the trailing checksum
+    cfg = default_config()
+    w = random_weights(cfg, 9)
+    path = tmp_path / "w.phmw"
+    save_weights(path, w)
+    raw = bytearray(path.read_bytes()[:-4])
+    raw[4:8] = (1).to_bytes(4, "little")
+    path.write_bytes(bytes(raw))
+    back = load_weights(path, cfg)
+    assert set(back.tensors) == set(w.tensors)
+    for name in w.tensors:
+        assert np.array_equal(back.tensors[name], w.tensors[name])
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_weights_trailing_bytes_rejected(tmp_path, version):
+    path = tmp_path / "w.phmw"
+    save_weights(path, random_weights(default_config(), 9))
+    raw = bytearray(path.read_bytes())
+    if version == 1:
+        raw[4:8] = (1).to_bytes(4, "little")
+        del raw[-4:]
+    path.write_bytes(bytes(raw) + b"\x00")
+    with pytest.raises(ValueError, match="trailing bytes"):
+        load_weights(path)
+
+
 def test_weights_bad_magic(tmp_path):
     path = tmp_path / "w.phmw"
     path.write_bytes(b"NOPE" + b"\x00" * 64)
@@ -327,10 +355,12 @@ _FUZZ_CFG = UNetConfig(encoder=(ConvSpec(1, 1, 1, 1, 5, 2),), decoder_channels=(
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_mutated_weight_file_loads_or_is_a_value_error(tmp_path, data):
-    # one to three byte flips, truncations or insertions anywhere in the file
+    # one to three byte flips, truncations or insertions anywhere in the file;
+    # the checksum makes every changed file a ValueError
     path = tmp_path / "w.phmw"
     save_weights(path, random_weights(_FUZZ_CFG, 5))
-    raw = bytearray(path.read_bytes())
+    original = path.read_bytes()
+    raw = bytearray(original)
     for _ in range(data.draw(st.integers(1, 3))):
         kind = data.draw(st.sampled_from(["flip", "truncate", "insert"]))
         if kind == "flip" and raw:
@@ -341,8 +371,8 @@ def test_mutated_weight_file_loads_or_is_a_value_error(tmp_path, data):
             pos = data.draw(st.integers(0, len(raw)))
             raw[pos:pos] = data.draw(st.binary(min_size=1, max_size=8))
     path.write_bytes(bytes(raw))
-    try:
-        weights = load_weights(path, _FUZZ_CFG)
-    except ValueError:
-        return
-    assert isinstance(weights, WeightSet)
+    if bytes(raw) != original:
+        with pytest.raises(ValueError):
+            load_weights(path, _FUZZ_CFG)
+    else:
+        assert isinstance(load_weights(path, _FUZZ_CFG), WeightSet)
