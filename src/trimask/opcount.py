@@ -121,5 +121,5 @@ def measured_ops(cfg: UNetConfig, seed: int = 0):
         stream_push(rng.standard_normal(frame).astype(weights.dtype), state)
     before = dict(state.op_counter)
     stream_push(rng.standard_normal(frame).astype(weights.dtype), state)
-    per_push = {k: state.op_counter[k] - before[k] for k in state.op_counter}
+    per_push = {k: v - before.get(k, 0) for k, v in state.op_counter.items()}
     return naive_counts, per_push

@@ -111,7 +111,9 @@ def istft(spec: ComplexSpectrogram, cfg: StftConfig, length: int | None = None,
     per frame that no later frame reaches are returned, and the rest stays
     in ``carry`` until :meth:`OverlapAdd.finish`. Each sample then adds its
     frames in the same order as one whole-signal call, so the two agree bit
-    for bit; ``length`` applies only without ``carry``.
+    for bit. Without ``carry`` the call is one whole stream: a fresh
+    :class:`OverlapAdd` ended by its ``finish()``, then cut or zero-padded
+    to ``length`` if one is given.
     """
     if spec.bin_count != cfg.bin_count:
         raise ValueError(
@@ -132,17 +134,13 @@ def istft(spec: ComplexSpectrogram, cfg: StftConfig, length: int | None = None,
         start = t * cfg.hop_size
         y[start : start + cfg.window_size] += frames[t]
         norm[start : start + cfg.window_size] += wsq
+    ola.y, ola.norm = y[done:].copy(), norm[done:].copy()
+    y = _normalise(y[:done], norm[:done])
     if carry is not None:
-        carry.y, carry.norm = y[done:].copy(), norm[done:].copy()
-        return SignalBuffer(samples=_normalise(y[:done], norm[:done]))
-    y = _normalise(y, norm)
-
-    out_len = len(y)
+        return SignalBuffer(samples=y)
+    y = np.concatenate([y, ola.finish()])
     if length is not None:
-        if length <= out_len:
-            y = y[:length]
-        else:
-            y = np.concatenate([y, np.zeros(length - out_len)])
+        y = np.concatenate([y[:length], np.zeros(max(length - len(y), 0))])
     return SignalBuffer(samples=y)
 
 

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .types import FEATURE_CHANNELS
-from .unet import (HEAD_CHANNELS, UNetConfig, WeightSet, conv_transposed_valid, conv_valid,
-                   leaky, validate_weights)
+from .unet import (UNetConfig, WeightSet, conv_transposed_valid, conv_valid, head, leaky,
+                   validate_weights)
 
 
 def required_queues(cfg: UNetConfig, depth: int) -> int:
@@ -123,31 +123,24 @@ class StreamState:
                        in zip(self.plan.capacity, widths, cfg.encoder_shapes())]
         self.frames_ingested = 0
         self.emitted_count = 0
-        self.op_counter = {name: 0 for name in cfg.layer_names()}
-        # per decoder step, per output frame: (first input row, rows, weight view)
-        self.dec_taps = [_pack_decoder(step, weights[f"dec{step.layer}.weight"],
-                                       cfg.decoder[step.layer - 1].stride_t)
+        self.op_counter = {}
+        # per decoder step, per output frame: (first input row, rows, weight)
+        self.dec_taps = [_pack_decoder(step, weights[f"dec{step.layer}.weight"])
                          for step in self.plan.steps]
 
 
-def _pack_decoder(step: _DecoderStep, w: np.ndarray, st: int) -> list:
-    """Per output frame of `step`, its contributor rows and a zero-copy
-    (O, n*C, kf, 1) weight view for :func:`conv_transposed_valid`.
-
-    The layer's weights are packed once as (kf, O, kt*C), with the temporal
-    taps grouped by residue mod `st` and descending within a group. An
-    output frame's taps share one residue and, ordered by ascending input
-    frame, are consecutive in that order, so each frame's weight is a slice.
-    """
-    O, C, kf, kt = w.shape
-    order = [tap for r in range(st) for tap in reversed(range(r, kt, st))]
-    packed = w[:, :, :, order].transpose(2, 0, 3, 1).reshape(kf, O, kt * C)
+def _pack_decoder(step: _DecoderStep, w: np.ndarray) -> list:
+    """Per output frame of `step`, its contributor rows and its taps'
+    weights as (O, n*C, kf, 1) for :func:`conv_transposed_valid`, laid out
+    so that the kernel's (kf*O, n*C) GEMM operand is a view."""
+    O, C, kf, _ = w.shape
     first_row = {q: i for i, q in enumerate(step.inputs)}
     out = []
     for row in step.taps:
-        pos, n = order.index(row[0][1]), len(row)
-        view = packed[:, :, pos * C : (pos + n) * C].transpose(1, 2, 0)[:, :, :, None]
-        out.append((first_row[row[0][0]], n, view))
+        taps = [tap for _, tap in row]
+        packed = np.ascontiguousarray(w[:, :, :, taps].transpose(2, 0, 3, 1))
+        view = packed.reshape(kf, O, len(row) * C).transpose(1, 2, 0)[:, :, :, None]
+        out.append((first_row[row[0][0]], len(row), view))
     return out
 
 
@@ -182,13 +175,8 @@ def _decode(state: StreamState):
             y = conv_transposed_valid(x, w, b, spec.stride_f, 1, state.op_counter, name)
             out[k] = leaky(y[:, :, 0], cfg.activation_slope)
         frames = out
-
-    final = frames[0]  # the last step computes only the target frame
-    hw = state.weights["head.weight"]
-    logits = hw.reshape(HEAD_CHANNELS, -1) @ final
-    logits += state.weights["head.bias"][:, None]
-    state.op_counter["head"] += HEAD_CHANNELS * hw.shape[1] * cfg.in_bins
-    return logits
+    # the last step computes only the target frame
+    return head(frames[0], state.weights, state.op_counter)
 
 
 def stream_push(frame: np.ndarray, state: StreamState):

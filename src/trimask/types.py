@@ -31,14 +31,11 @@ class SignalBuffer:
     """
 
     samples: np.ndarray
-    sample_rate: int = SAMPLE_RATE
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.samples.ndim != 1:
             raise ValueError(f"signal must be 1-D, got shape {self.samples.shape}")
-        if self.sample_rate != SAMPLE_RATE:
-            raise ValueError(f"sample_rate must be {SAMPLE_RATE}, got {self.sample_rate}")
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("signal contains non-finite values")
 

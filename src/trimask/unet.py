@@ -126,10 +126,6 @@ class UNetConfig:
             ))
         return shapes
 
-    def layer_names(self):
-        L = self.depth
-        return [f"enc{i + 1}" for i in range(L)] + [f"dec{j + 1}" for j in range(L)] + ["head"]
-
 
 _DEFAULT_CHANNELS = (16, 32, 48, 64, 80)
 _DEFAULT_DEC_CHANNELS = (64, 48, 32, 16, 16)
@@ -157,14 +153,14 @@ def default_config(bins: int = 253, frames: int = 65, lookahead_frames: int = 4)
                       in_bins=bins, in_frames=frames, lookahead_frames=lookahead_frames)
 
 
-def config_for_preset(stft_cfg, lookahead_ms: float = 32.0, frames: int = 65) -> UNetConfig:
+def config_for_preset(stft_cfg, lookahead_ms: float = 32.0) -> UNetConfig:
     """Architecture matched to an STFT preset; lookahead rounds to frames."""
     if not np.isfinite(lookahead_ms):
         raise ValueError(f"lookahead_ms must be finite, got {lookahead_ms}")
     bins = stft_cfg.bin_count - stft_cfg.discard_low_bins
     frame_ms = stft_cfg.hop_size / 16.0  # 16 samples per ms at 16 kHz
     la = int(round(lookahead_ms / frame_ms))
-    return default_config(bins=bins, frames=frames, lookahead_frames=la)
+    return default_config(bins=bins, lookahead_frames=la)
 
 
 _SPEC_KEYS = tuple(f.name for f in fields(ConvSpec))
@@ -350,6 +346,15 @@ def leaky(x: np.ndarray, slope: float) -> np.ndarray:
     return np.maximum(x, np.asarray(slope, dtype=x.dtype) * x)
 
 
+def _matmul(a: np.ndarray, b: np.ndarray, counter, name: str | None) -> np.ndarray:
+    """``a @ b``; with a counter, its multiplies are tallied under ``name``.
+    Every GEMM of both backends runs through here, so this is the one place
+    that counts multiplies."""
+    if counter is not None:
+        counter[name] = counter.get(name, 0) + a.shape[0] * a.shape[1] * b.shape[1]
+    return a @ b
+
+
 def conv_valid(x: np.ndarray, w: np.ndarray, b: np.ndarray, sf: int, st: int,
                counter=None, name: str | None = None) -> np.ndarray:
     """Valid strided 2-D convolution; x is (C, F, T), w is (O, C, kf, kt)."""
@@ -360,10 +365,8 @@ def conv_valid(x: np.ndarray, w: np.ndarray, b: np.ndarray, sf: int, st: int,
     windows = np.lib.stride_tricks.sliding_window_view(x, (kf, kt), axis=(1, 2))
     windows = windows[:, ::sf, ::st]  # (C, Fo, To, kf, kt)
     cols = np.ascontiguousarray(windows.transpose(0, 3, 4, 1, 2)).reshape(C * kf * kt, Fo * To)
-    y = (w.reshape(O, -1) @ cols).reshape(O, Fo, To)
+    y = _matmul(w.reshape(O, -1), cols, counter, name).reshape(O, Fo, To)
     y += b[:, None, None]
-    if counter is not None:
-        counter[name] = counter.get(name, 0) + O * C * kf * kt * Fo * To
     return y
 
 
@@ -377,14 +380,20 @@ def conv_transposed_valid(x: np.ndarray, w: np.ndarray, b: np.ndarray, sf: int, 
     To = (T - 1) * st + kt
     y = np.empty((O, Fo, To), dtype=x.dtype)
     y[:] = b[:, None, None]
-    flat = x.reshape(C, F * T)
-    contrib = (w.transpose(2, 3, 0, 1).reshape(kf * kt * O, C) @ flat).reshape(kf, kt, O, F, T)
+    contrib = _matmul(w.transpose(2, 3, 0, 1).reshape(kf * kt * O, C), x.reshape(C, F * T),
+                      counter, name).reshape(kf, kt, O, F, T)
     for i in range(kf):
         for j in range(kt):
             y[:, i : i + (F - 1) * sf + 1 : sf, j : j + (T - 1) * st + 1 : st] += contrib[i, j]
-    if counter is not None:
-        counter[name] = counter.get(name, 0) + O * C * kf * kt * F * T
     return y
+
+
+def head(h: np.ndarray, weights: WeightSet, counter=None) -> np.ndarray:
+    """The 1x1 head over decoder output (C, F, ...) -> (HEAD_CHANNELS, F, ...) logits."""
+    logits = _matmul(weights["head.weight"].reshape(HEAD_CHANNELS, -1),
+                     h.reshape(h.shape[0], -1), counter, "head")
+    logits += weights["head.bias"][:, None]
+    return logits.reshape((HEAD_CHANNELS,) + h.shape[1:])
 
 
 def unet_forward(x: np.ndarray, weights: WeightSet, cfg: UNetConfig,
@@ -404,14 +413,7 @@ def unet_forward(x: np.ndarray, weights: WeightSet, cfg: UNetConfig,
                                         weights[f"dec{j + 1}.bias"],
                                         spec.stride_f, spec.stride_t, counter, f"dec{j + 1}"),
                   slope)
-    hw = weights["head.weight"]
-    O, C = hw.shape[0], hw.shape[1]
-    _, F, T = h.shape
-    logits = (hw.reshape(O, C) @ h.reshape(C, F * T)).reshape(O, F, T)
-    logits += weights["head.bias"][:, None, None]
-    if counter is not None:
-        counter["head"] = counter.get("head", 0) + O * C * F * T
-    return logits
+    return head(h, weights, counter)
 
 
 def split_head(head: np.ndarray):
@@ -432,11 +434,11 @@ def features_to_tensor(features, cfg: UNetConfig, dtype) -> np.ndarray:
     return np.ascontiguousarray(arr.transpose(0, 2, 1), dtype=dtype)
 
 
-def naive_infer(features, weights: WeightSet, cfg: UNetConfig, counter=None):
+def naive_infer(features, weights: WeightSet, cfg: UNetConfig):
     """Whole-window forward pass; returns the (10, F) head frame at window
     position in_frames - 1 - lookahead_frames, in the weights' dtype."""
     x = features_to_tensor(features, cfg, weights.dtype)
     if x.shape[2] != cfg.in_frames:
         raise ValueError(f"expected {cfg.in_frames} frames, got {x.shape[2]}")
-    logits = unet_forward(x, weights, cfg, counter)
+    logits = unet_forward(x, weights, cfg)
     return logits[:, :, cfg.target_index]

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from trimask import (NRT_PRESET, RT_PRESET, StftConfig, extract_features, istft,
+from trimask import (NRT_PRESET, PRESETS, RT_PRESET, StftConfig, extract_features, istft,
                      restore_low_bins, stft, trim_low_bins)
-from trimask.spectral import EPS_MAG, _analysis_window
+from trimask.spectral import EPS_MAG, OverlapAdd, _analysis_window
+from trimask.types import ComplexSpectrogram
 
 
 def _direct_dft_frame(x, win, fft_size):
@@ -82,6 +84,21 @@ def test_istft_shape_mismatch_errors():
     spec = trim_low_bins(stft(np.zeros(2048), RT_PRESET), 4)
     with pytest.raises(ValueError, match="shape mismatch"):
         istft(spec, RT_PRESET)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(preset=st.sampled_from(sorted(PRESETS)), seed=st.integers(0, 2**16),
+       cuts=st.lists(st.integers(0, 24), max_size=8))
+def test_istft_block_splits_equal_the_whole_signal_exactly(preset, seed, cuts):
+    # the carried overlap sums continue bit for bit
+    cfg = PRESETS[preset]
+    rng = np.random.default_rng(seed)
+    bins = rng.standard_normal((24, cfg.bin_count)) + 1j * rng.standard_normal((24, cfg.bin_count))
+    carry = OverlapAdd(cfg)
+    blocks = [istft(ComplexSpectrogram(b), cfg, carry=carry).samples
+              for b in np.split(bins, sorted(cuts))]
+    whole = istft(ComplexSpectrogram(bins), cfg).samples
+    assert np.array_equal(np.concatenate(blocks + [carry.finish()]), whole)
 
 
 def test_istft_single_frame_impulse_against_inverse_dft():

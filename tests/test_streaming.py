@@ -136,6 +136,35 @@ def test_steady_state_cost_below_20_percent():
     assert report.streaming_total < 0.20 * report.naive_total
 
 
+def test_op_counter_holds_only_the_layers_run_so_far():
+    cfg = default_config()
+    state = StreamState(cfg, random_weights(cfg, 0))
+    per_push = {l.name: l.streaming_mults for l in count_ops(cfg).layers}
+    delta = state.plan.delta
+    # no layer has a tally before it first runs: push delta[1] gives {"enc1": ...}
+    for n in range(state.plan.warmup - 1):
+        stream_push(np.zeros((5, cfg.in_bins)), state)
+        assert state.op_counter == {f"enc{l}": per_push[f"enc{l}"] * (n + 1 - delta[l])
+                                    for l in range(1, cfg.depth + 1) if n >= delta[l]}
+
+
+def test_decoder_tap_weights_are_views_of_the_gemm_operand():
+    # each output frame's weight is its taps of the layer's weight, laid out
+    # so that conv_transposed_valid's (kf*O, n*C) operand needs no copy
+    cfg = default_config()
+    weights = random_weights(cfg, 0)
+    state = StreamState(cfg, weights)
+    for step, taps in zip(state.plan.steps, state.dec_taps):
+        full = weights[f"dec{step.layer}.weight"]
+        O, C, kf, _ = full.shape
+        for (first, n, w), row in zip(taps, step.taps):
+            assert step.inputs[first] == row[0][0] and n == len(row)
+            operand = w.transpose(2, 3, 0, 1).reshape(kf * O, n * C)
+            assert np.shares_memory(operand, w.base)
+            expect = full[:, :, :, [tap for _, tap in row]].transpose(2, 0, 3, 1)
+            assert np.array_equal(operand, expect.reshape(kf * O, n * C))
+
+
 def _assert_reads_fit_minimal_queues(cfg, plan):
     """Every read slice takes exactly its frames from its `capacity`-long
     queue, and each capacity is its queue's deepest read + 1."""

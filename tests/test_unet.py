@@ -8,7 +8,8 @@ from trimask import (ConvSpec, UNetConfig, config_for_preset, config_from_json_d
                      split_head, validate_weights)
 from trimask.masking import assemble_masks, quadrangle_decompose
 from trimask.spectral import NRT_PRESET, RT_PRESET
-from trimask.unet import IDENTITY_HEAD, WeightSet, conv_valid, conv_transposed_valid, leaky
+from trimask.unet import (IDENTITY_HEAD, WeightSet, conv_valid, conv_transposed_valid, head,
+                          leaky)
 
 
 def test_default_config_shapes():
@@ -246,6 +247,21 @@ def test_split_head_returns_channel_views():
     assert np.array_equal(ln.z_k, head[5])
     with pytest.raises(ValueError, match="head channels"):
         split_head(head[:9])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("bins", [253, 513])
+def test_head_on_one_frame_equals_that_column_of_the_window_call(dtype, bins):
+    # integer operands make every sum exact, so the comparison checks the
+    # layout and bias and not how BLAS orders a dot product at each width
+    rng = np.random.default_rng(bins)
+    weights = WeightSet({"head.weight": rng.integers(-8, 9, (10, 16, 1, 1)).astype(dtype),
+                         "head.bias": rng.integers(-8, 9, 10).astype(dtype)})
+    h = rng.integers(-8, 9, (16, bins, 65)).astype(dtype)
+    window = head(h, weights)
+    assert window.shape == (10, bins, 65) and window.dtype == dtype
+    for t in range(65):
+        assert np.array_equal(head(np.ascontiguousarray(h[:, :, t]), weights), window[:, :, t])
 
 
 def test_naive_infer_shape_errors():
