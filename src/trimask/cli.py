@@ -93,12 +93,12 @@ def _cmd_enhance(args) -> int:
         wavio.write_wav(comp_dir / "reverb.wav", result.reverb)
         wavio.write_wav(comp_dir / "noise.wav", result.noise)
     if args.emit_stats:
-        stats = {"mode": result.mode, **result.op_report.to_json_dict(),
+        stats = {"mode": mode, **result.op_report.to_json_dict(),
                  "frames_total": result.frames_total,
                  "frames_emitted": result.frames_emitted}
         Path(args.emit_stats).write_text(json.dumps(stats, indent=2) + "\n")
     print(f"enhanced {args.input} -> {args.output} "
-          f"({result.frames_emitted}/{result.frames_total} frames masked, {result.mode})")
+          f"({result.frames_emitted}/{result.frames_total} frames masked, {mode})")
     return 0
 
 

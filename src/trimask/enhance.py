@@ -50,7 +50,6 @@ class EnhanceResult:
     noise: SignalBuffer
     remixed: SignalBuffer
     op_report: OpCountReport
-    mode: str
     frames_total: int
     frames_emitted: int
 
@@ -209,7 +208,7 @@ def enhance(signal, weights: WeightSet, cfg: UNetConfig, stft_cfg: StftConfig,
         out[:, pos : pos + len(part.direct)] = part
         pos += len(part.direct)
     return EnhanceResult(*(SignalBuffer(samples=row) for row in out),
-                         op_report=count_ops(cfg), mode=mode,
+                         op_report=count_ops(cfg),
                          frames_total=engine.frames_total,
                          frames_emitted=engine.frames_emitted)
 

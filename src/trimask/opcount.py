@@ -117,7 +117,7 @@ def measured_ops(cfg: UNetConfig, seed: int = 0):
     unet_forward(window, weights, cfg, counter=naive_counts)
 
     state = StreamState(cfg, weights)
-    for _ in range(state.plan.warmup):
+    for _ in range(cfg.in_frames):
         stream_push(rng.standard_normal(frame).astype(weights.dtype), state)
     before = dict(state.op_counter)
     stream_push(rng.standard_normal(frame).astype(weights.dtype), state)

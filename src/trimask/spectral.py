@@ -66,10 +66,8 @@ def stft(signal, cfg: StftConfig) -> ComplexSpectrogram:
         raise ValueError(
             f"insufficient samples: need at least {cfg.window_size}, got {len(x)}"
         )
-    n_frames = cfg.frame_count(len(x))
-    win = _analysis_window(cfg)
-    idx = np.arange(cfg.window_size)[None, :] + cfg.hop_size * np.arange(n_frames)[:, None]
-    frames = x[idx] * win[None, :]
+    frames = np.lib.stride_tricks.sliding_window_view(x, cfg.window_size)[:: cfg.hop_size]
+    frames = frames * _analysis_window(cfg)
     bins = np.fft.rfft(frames, n=cfg.fft_size, axis=1)
     return ComplexSpectrogram(bins=bins, bin_offset=0)
 

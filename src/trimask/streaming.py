@@ -20,6 +20,7 @@ never recomputed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,19 +35,15 @@ def required_queues(cfg: UNetConfig, depth: int) -> int:
     strides of layers 1..depth."""
     if not (1 <= depth <= cfg.depth):
         raise ValueError(f"depth must be in [1, {cfg.depth}], got {depth}")
-    count = 1
-    for spec in cfg.encoder[:depth]:
-        count *= spec.stride_t
-    return count
+    return math.prod(spec.stride_t for spec in cfg.encoder[:depth])
 
 
 @dataclass(frozen=True)
 class _DecoderStep:
-    """One decoder layer's per-push work: output frames and their real taps."""
+    """One decoder layer's per-push work: its output frames' real taps."""
     layer: int                 # 1-based decoder layer
-    inputs: tuple              # window indices of the input frames, ascending
-    out_frames: tuple          # window indices of frames to compute
-    taps: tuple                # per out frame: tuple of (in_idx, kernel_tap)
+    inputs: tuple              # window indices of the input frames, ascending, contiguous
+    taps: tuple                # per output frame, ascending: tuple of (in_idx, kernel_tap)
     level: int                 # encoder level read: the bottleneck for dec1, else the skip
     read: slice                # that level's queue rows holding the frames at `inputs`
 
@@ -55,7 +52,6 @@ class StreamPlan:
     """Static per-config schedule for one push (window coordinates)."""
 
     def __init__(self, cfg: UNetConfig):
-        self.cfg = cfg
         L = cfg.depth
         t0 = cfg.in_frames
 
@@ -66,26 +62,22 @@ class StreamPlan:
             self.delta.append(self.delta[-1] + (spec.kernel_t - 1) * self.lattice[-1])
             self.lattice.append(self.lattice[-1] * spec.stride_t)
 
-        self.warmup = t0  # pushes before the first emission
-
         # decoder needs, resolved backward from the single target frame
         dec_T = [t for _, t in cfg.decoder_shapes()]
-        assert dec_T[L] == t0
         needed = {cfg.target_index}
-        steps = []  # (layer, inputs, out_frames, taps), ascending layer
+        steps = []  # (layer, inputs, taps), ascending layer
         for j in range(L, 0, -1):
             spec = cfg.decoder[j - 1]
             kt, st = spec.kernel_t, spec.stride_t
-            out_frames = tuple(sorted(needed))
             taps = []
-            for p in out_frames:
+            for p in sorted(needed):
                 lo = max(0, -(-(p - kt + 1) // st))  # ceil
                 hi = min(dec_T[j - 1] - 1, p // st)
                 if lo > hi:
                     raise ValueError(f"dec{j}: output frame {p} has no contributors")
                 taps.append(tuple((q, p - q * st) for q in range(lo, hi + 1)))
             needed = {q for row in taps for q, _ in row}  # contiguous: rows overlap or abut
-            steps.insert(0, (j, tuple(sorted(needed)), out_frames, tuple(taps)))
+            steps.insert(0, (j, tuple(sorted(needed)), tuple(taps)))
 
         # every queue read as (level, oldest, newest) lookback behind the level's
         # newest frame: each encoder slab, then each decoder step's input frames
@@ -95,7 +87,7 @@ class StreamPlan:
         reads = [(l, (spec.kernel_t - 1) * self.lattice[l], 0)
                  for l, spec in enumerate(cfg.encoder)]
         reads += [(L - j + 1, lookback(L - j + 1, inputs[0]), lookback(L - j + 1, inputs[-1]))
-                  for j, inputs, _, _ in steps]
+                  for j, inputs, _ in steps]
         self.capacity = [1 + max(old for l, old, _ in reads if l == level)
                          for level in range(L + 1)]
         slices = [slice(self.capacity[l] - 1 - old, self.capacity[l] - new, self.lattice[l])
@@ -122,7 +114,6 @@ class StreamState:
         self.queues = [np.zeros((cap, ch, f), dtype=weights.dtype) for cap, ch, (f, _)
                        in zip(self.plan.capacity, widths, cfg.encoder_shapes())]
         self.frames_ingested = 0
-        self.emitted_count = 0
         self.op_counter = {}
         # per decoder step, per output frame: (first input row, rows, weight)
         self.dec_taps = [_pack_decoder(step, weights[f"dec{step.layer}.weight"])
@@ -134,13 +125,12 @@ def _pack_decoder(step: _DecoderStep, w: np.ndarray) -> list:
     weights as (O, n*C, kf, 1) for :func:`conv_transposed_valid`, laid out
     so that the kernel's (kf*O, n*C) GEMM operand is a view."""
     O, C, kf, _ = w.shape
-    first_row = {q: i for i, q in enumerate(step.inputs)}
     out = []
     for row in step.taps:
         taps = [tap for _, tap in row]
         packed = np.ascontiguousarray(w[:, :, :, taps].transpose(2, 0, 3, 1))
         view = packed.reshape(kf, O, len(row) * C).transpose(1, 2, 0)[:, :, :, None]
-        out.append((first_row[row[0][0]], len(row), view))
+        out.append((row[0][0] - step.inputs[0], len(row), view))
     return out
 
 
@@ -196,8 +186,6 @@ def stream_push(frame: np.ndarray, state: StreamState):
             _append(state.queues[level], _encoder_step(state, level))
     state.frames_ingested += 1
 
-    if n < plan.warmup - 1:
+    if n < cfg.in_frames - 1:
         return None
-    head = _decode(state)
-    state.emitted_count += 1
-    return head
+    return _decode(state)

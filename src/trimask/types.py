@@ -22,6 +22,15 @@ def as_samples(signal) -> np.ndarray:
     return arr
 
 
+def check_finite(config, *names: str) -> None:
+    """Reject a config whose named fields (numbers or tuples of numbers)
+    hold NaN or an infinity."""
+    for name in names:
+        value = getattr(config, name)
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{type(config).__name__}.{name} must be finite, got {value!r}")
+
+
 @dataclass
 class SignalBuffer:
     """Mono time-domain signal at 16 kHz.

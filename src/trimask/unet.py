@@ -65,6 +65,7 @@ class UNetConfig:
     activation_slope: float = 0.01
     lookahead_frames: int = 4
     decoder: tuple = field(init=False, repr=False)
+    _shapes: tuple = field(init=False, repr=False)  # per-level (freq, time), 0 = input
 
     def __post_init__(self):
         if not self.encoder:
@@ -78,15 +79,17 @@ class UNetConfig:
         if not np.isfinite(self.activation_slope):
             raise ValueError(f"activation_slope must be finite, got {self.activation_slope!r}")
         ch = FEATURE_CHANNELS
-        f, t = self.in_bins, self.in_frames
+        shapes = [(self.in_bins, self.in_frames)]
         for i, spec in enumerate(self.encoder):
             if min(spec.kernel_f, spec.kernel_t, spec.stride_f, spec.stride_t, spec.out_ch) < 1:
                 raise ValueError(f"enc{i + 1}: kernel sizes, strides and out_ch must be >= 1")
             if spec.in_ch != ch:
                 raise ValueError(f"enc{i + 1}: expected in_ch {ch}, got {spec.in_ch}")
-            f = _chain(f, spec.kernel_f, spec.stride_f, f"enc{i + 1} freq")
-            t = _chain(t, spec.kernel_t, spec.stride_t, f"enc{i + 1} time")
+            f, t = shapes[-1]
+            shapes.append((_chain(f, spec.kernel_f, spec.stride_f, f"enc{i + 1} freq"),
+                           _chain(t, spec.kernel_t, spec.stride_t, f"enc{i + 1} time")))
             ch = spec.out_ch
+        object.__setattr__(self, "_shapes", tuple(shapes))
         decoder = []
         for mirror, out_ch in zip(reversed(self.encoder), self.decoder_channels):
             in_ch = ch if not decoder else ch + mirror.out_ch
@@ -106,25 +109,12 @@ class UNetConfig:
 
     def encoder_shapes(self):
         """Per-level (freq, time) extents, index 0 = input."""
-        shapes = [(self.in_bins, self.in_frames)]
-        for spec in self.encoder:
-            f, t = shapes[-1]
-            shapes.append((
-                (f - spec.kernel_f) // spec.stride_f + 1,
-                (t - spec.kernel_t) // spec.stride_t + 1,
-            ))
-        return shapes
+        return list(self._shapes)
 
     def decoder_shapes(self):
-        """Per-decoder-layer output (freq, time) extents, index 0 = bottleneck."""
-        shapes = [self.encoder_shapes()[-1]]
-        for spec in self.decoder:
-            f, t = shapes[-1]
-            shapes.append((
-                (f - 1) * spec.stride_f + spec.kernel_f,
-                (t - 1) * spec.stride_t + spec.kernel_t,
-            ))
-        return shapes
+        """Per-decoder-layer output (freq, time) extents, index 0 = bottleneck.
+        Each mirrors an encoder level exactly, since every extent divides."""
+        return list(self._shapes[::-1])
 
 
 _DEFAULT_CHANNELS = (16, 32, 48, 64, 80)
@@ -132,7 +122,7 @@ _DEFAULT_DEC_CHANNELS = (64, 48, 32, 16, 16)
 _DEFAULT_TIME_STRIDES = (1, 2, 1, 2, 1)
 
 
-def default_config(bins: int = 253, frames: int = 65, lookahead_frames: int = 4) -> UNetConfig:
+def default_config(bins: int = 253, lookahead_frames: int = 4) -> UNetConfig:
     """Stock architecture: five 5x3 encoder layers, frequency stride 2,
     temporal strides (1,2,1,2,1), mirrored decoder with skip concatenation.
 
@@ -150,7 +140,7 @@ def default_config(bins: int = 253, frames: int = 65, lookahead_frames: int = 4)
         f = (f - kf) // 2 + 1
         ch = out_ch
     return UNetConfig(encoder=tuple(enc), decoder_channels=_DEFAULT_DEC_CHANNELS,
-                      in_bins=bins, in_frames=frames, lookahead_frames=lookahead_frames)
+                      in_bins=bins, lookahead_frames=lookahead_frames)
 
 
 def config_for_preset(stft_cfg, lookahead_ms: float = 32.0) -> UNetConfig:

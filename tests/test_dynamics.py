@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -72,6 +74,13 @@ def test_drc_config_validation():
         DrcConfig(ratio=0.5)
     with pytest.raises(ValueError):
         DrcConfig(attack_ms=0.0)
+    for name in ("threshold_db", "ratio", "attack_ms", "release_ms", "makeup_db"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=name):
+                DrcConfig(**{name: value})
+    # 10^(makeup/20) overflows: rejected here, not as an OverflowError in compress
+    with pytest.raises(ValueError, match="makeup_db"):
+        DrcConfig(makeup_db=1e6)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

@@ -1,3 +1,4 @@
+import importlib
 import tracemalloc
 
 import numpy as np
@@ -106,6 +107,40 @@ def test_backend_equivalence_end_to_end(rt_setup):
     for a, b in ((causal.direct, windowed.direct), (causal.noise, windowed.noise),
                  (causal.remixed, windowed.remixed)):
         assert np.max(np.abs(a.samples - b.samples)) < 1e-10
+
+
+@pytest.mark.parametrize("mode", ["causal-stream", "noncausal-window"])
+def test_backend_is_called_once_per_frame_through_module_globals(monkeypatch, mode):
+    # the benchmark times each stream_push / unet_forward call that enhance
+    # looks up in its module, so one call must be one frame: every ingested
+    # frame is a push, every emitted frame one windowed forward pass
+    E = importlib.import_module("trimask.enhance")
+    calls = {"stream_push": 0, "unet_forward": 0, "heads": 0}
+
+    def counted(name):
+        fn = getattr(E, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            out = fn(*args)
+            calls["heads"] += out is not None
+            return out
+        monkeypatch.setattr(E, name, wrapper)
+
+    counted("stream_push")
+    counted("unet_forward")
+    weights = random_weights(_SMALL_RT_CFG, 2, dtype=np.float64)
+    for n in (1200, 16000, 40000):  # fewer frames than a window, one block, three blocks
+        calls.update(dict.fromkeys(calls, 0))
+        result = enhance(_band_limited_signal(8, n=n), weights, _SMALL_RT_CFG, RT_PRESET,
+                         mode=mode)
+        total = result.frames_total
+        assert result.frames_emitted == max(0, total - (_SMALL_RT_CFG.in_frames - 1))
+        if mode == "causal-stream":
+            expected = {"stream_push": total, "unet_forward": 0}
+        else:
+            expected = {"stream_push": 0, "unet_forward": result.frames_emitted}
+        assert calls == {**expected, "heads": result.frames_emitted}
 
 
 def test_remix_gain_zero_is_component_sum(rt_setup):

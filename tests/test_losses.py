@@ -253,3 +253,7 @@ def test_loss_config_validation():
         LossConfig(preemph_alpha=1.0)
     with pytest.raises(ValueError):
         LossConfig(mu=-1.0)
+    for name in ("preemph_alpha", "mu", "eps_norm"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=name):
+                LossConfig(**{name: value})

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.stats import kstest
@@ -42,6 +44,10 @@ def test_rir_param_validation():
         RirParams(t60=0.0)
     with pytest.raises(ValueError):
         RirParams(tail_length=0)
+    for name in ("t60", "direct_gain"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=name):
+                RirParams(**{name: value})
 
 
 def test_mix_snr_zero_balances_energies():
@@ -145,3 +151,7 @@ def test_scenario_ranges_validation():
         ScenarioRanges(snr_db=(10.0, -10.0))
     with pytest.raises(ValueError):
         ScenarioRanges(t60=(-0.1, 0.5))
+    for name in ("snr_db", "t60"):
+        for bad in ((math.nan, 1.0), (0.1, math.inf)):
+            with pytest.raises(ValueError, match=name):
+                ScenarioRanges(**{name: bad})
