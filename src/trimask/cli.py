@@ -15,8 +15,7 @@ from .metrics import evaluate_pair, si_sdr
 from .opcount import count_ops, measured_ops
 from .simulate import ScenarioRanges, sample_scenario
 from .spectral import PRESETS
-from .unet import (config_for_preset, config_from_json_dict, load_weights,
-                   random_weights, validate_weights)
+from .unet import config_for_preset, config_from_json_dict, load_weights, random_weights
 
 ORACLE_SI_SDR_FLOOR_DB = 50.0
 
@@ -77,7 +76,6 @@ def _cmd_enhance(args) -> int:
         weights = load_weights(args.weights, cfg)
     else:
         weights = random_weights(cfg, args.seed)
-        validate_weights(cfg, weights)
 
     signal = wavio.read_wav(args.input)
     mode = "causal-stream" if args.mode == "causal" else "noncausal-window"

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .types import SignalBuffer, as_samples, check_finite
+from .types import SignalBuffer, as_samples, check_fields
 
 _ENV_FLOOR = 1e-30
 _POWER_WINDOW = 32  # 2 ms at 16 kHz, causal
@@ -35,7 +35,7 @@ class DrcConfig:
     makeup_db: float = 0.0
 
     def __post_init__(self):
-        check_finite(self, "threshold_db", "ratio", "attack_ms", "release_ms", "makeup_db")
+        check_fields(self, float, "threshold_db", "ratio", "attack_ms", "release_ms", "makeup_db")
         with np.errstate(over="ignore"):
             if not np.isfinite(np.power(10.0, self.makeup_db / 20.0)):
                 raise ValueError(f"makeup_db must have a finite 10^(gain/20), "

@@ -30,7 +30,7 @@ from .opcount import OpCountReport, count_ops
 from .streaming import StreamState, stream_push
 from .types import FEATURE_CHANNELS, ComplexSpectrogram, SignalBuffer, as_samples
 from .unet import (IDENTITY_HEAD, UNetConfig, WeightSet, features_to_tensor, split_head,
-                   unet_forward)
+                   unet_forward, validate_weights)
 from .spectral import StftConfig
 
 MODES = ("causal-stream", "noncausal-window")
@@ -82,6 +82,7 @@ class StreamingEnhancer:
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
         check_reverb_gain_db(reverb_gain_db)
+        validate_weights(cfg, weights)
         bins = stft_cfg.bin_count - stft_cfg.discard_low_bins
         if cfg.in_bins != bins:
             raise ValueError(f"config expects {cfg.in_bins} bins, the STFT gives {bins}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .types import SignalBuffer, as_samples, check_finite
+from .types import SignalBuffer, as_samples, check_fields
 
 DEFAULT_SEGMENTS = (4064, 2032, 1016, 508)
 
@@ -29,7 +29,8 @@ class LossConfig:
     eps_norm: float = 1e-11
 
     def __post_init__(self):
-        check_finite(self, "preemph_alpha", "mu", "eps_norm")
+        check_fields(self, int, "segment_lengths", arity=-1)
+        check_fields(self, float, "preemph_alpha", "mu", "eps_norm")
         if not self.segment_lengths:
             raise ValueError("need at least one segment length")
         if any(g <= 0 for g in self.segment_lengths):

@@ -84,14 +84,14 @@ def count_ops(cfg: UNetConfig) -> OpCountReport:
     dec_shapes = cfg.decoder_shapes()
 
     layers = []
-    for i, spec in enumerate(cfg.encoder):
+    for i, (spec, in_ch) in enumerate(zip(cfg.encoder, cfg.in_channels)):
         fo, to = enc_shapes[i + 1]
-        per_frame = fo * spec.kernel_f * spec.kernel_t * spec.in_ch * spec.out_ch
+        per_frame = fo * spec.kernel_f * spec.kernel_t * in_ch * spec.out_ch
         layers.append(LayerOps(f"enc{i + 1}", naive_mults=per_frame * to,
                                streaming_mults=per_frame))
-    for step, spec in zip(plan.steps, cfg.decoder):
+    for step, spec, in_ch in zip(plan.steps, cfg.decoder, cfg.in_channels[cfg.depth:]):
         fi, ti = dec_shapes[step.layer - 1]
-        per_tap = fi * spec.kernel_f * spec.in_ch * spec.out_ch
+        per_tap = fi * spec.kernel_f * in_ch * spec.out_ch
         n_taps = sum(len(row) for row in step.taps)
         layers.append(LayerOps(f"dec{step.layer}", naive_mults=per_tap * ti * spec.kernel_t,
                                streaming_mults=per_tap * n_taps))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import butter, fftconvolve, lfilter
 
-from .types import SAMPLE_RATE, SignalBuffer, as_samples, check_finite
+from .types import SAMPLE_RATE, SignalBuffer, as_samples, check_fields
 
 REFLECTION_GAP = 32          # samples between direct arrival and tail start
 DECAY_CONSTANT = math.log(1000.0)  # 60 dB amplitude decay over t60
@@ -32,7 +32,8 @@ class RirParams:
     seed: int = 0
 
     def __post_init__(self):
-        check_finite(self, "t60", "direct_gain")
+        check_fields(self, int, "direct_delay", "tail_length", "seed")
+        check_fields(self, float, "t60", "direct_gain")
         if self.t60 <= 0:
             raise ValueError("t60 must be > 0")
         if self.tail_length < 1:
@@ -108,7 +109,8 @@ class ScenarioRanges:
     segment_samples: int = 32000  # 2 s at 16 kHz
 
     def __post_init__(self):
-        check_finite(self, "snr_db", "t60")
+        check_fields(self, float, "snr_db", "t60", arity=2)
+        check_fields(self, int, "segment_samples")
         if self.snr_db[0] >= self.snr_db[1] or self.t60[0] >= self.t60[1]:
             raise ValueError("ranges must be (low, high) with low < high")
         if self.t60[0] <= 0:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import get_window
 
-from .types import ComplexSpectrogram, FeatureStack, SignalBuffer, as_samples
+from .types import ComplexSpectrogram, FeatureStack, SignalBuffer, as_samples, check_fields
 
 EPS_MAG = 1e-7  # magnitude floor before the log
 
@@ -21,21 +21,20 @@ EPS_MAG = 1e-7  # magnitude floor before the log
 class StftConfig:
     window_size: int
     hop_size: int
-    fft_size: int
     discard_low_bins: int = 0
 
     def __post_init__(self):
-        if self.window_size % self.hop_size != 0:
-            raise ValueError("hop_size must divide window_size")
-        if self.fft_size < self.window_size:
-            raise ValueError("fft_size must be >= window_size")
+        check_fields(self, int, "window_size", "hop_size", "discard_low_bins")
+        if min(self.window_size, self.hop_size) < 1 or self.window_size % self.hop_size:
+            raise ValueError("window_size and hop_size must be >= 1, and hop_size must "
+                             "divide window_size")
         if self.discard_low_bins < 0:
             raise ValueError("discard_low_bins must be >= 0")
 
     @property
     def bin_count(self) -> int:
         """Untrimmed one-sided bin count."""
-        return self.fft_size // 2 + 1
+        return self.window_size // 2 + 1
 
     def frame_count(self, n_samples: int) -> int:
         if n_samples < self.window_size:
@@ -43,10 +42,10 @@ class StftConfig:
         return (n_samples - self.window_size) // self.hop_size + 1
 
 
-# Shipped presets: real-time (512-point, 4 lowest bins discarded) and
-# non-real-time (1024-point).
-RT_PRESET = StftConfig(window_size=512, hop_size=128, fft_size=512, discard_low_bins=4)
-NRT_PRESET = StftConfig(window_size=1024, hop_size=256, fft_size=1024, discard_low_bins=0)
+# Shipped presets, each with an FFT the length of its window: real-time
+# (512-point, 4 lowest bins discarded) and non-real-time (1024-point).
+RT_PRESET = StftConfig(window_size=512, hop_size=128, discard_low_bins=4)
+NRT_PRESET = StftConfig(window_size=1024, hop_size=256, discard_low_bins=0)
 
 PRESETS = {"rt": RT_PRESET, "nrt": NRT_PRESET}
 
@@ -68,7 +67,7 @@ def stft(signal, cfg: StftConfig) -> ComplexSpectrogram:
         )
     frames = np.lib.stride_tricks.sliding_window_view(x, cfg.window_size)[:: cfg.hop_size]
     frames = frames * _analysis_window(cfg)
-    bins = np.fft.rfft(frames, n=cfg.fft_size, axis=1)
+    bins = np.fft.rfft(frames, axis=1)
     return ComplexSpectrogram(bins=bins, bin_offset=0)
 
 
@@ -120,7 +119,7 @@ def istft(spec: ComplexSpectrogram, cfg: StftConfig, length: int | None = None,
         )
     n_frames = spec.frame_count
     win = _analysis_window(cfg)
-    frames = np.fft.irfft(spec.bins, n=cfg.fft_size, axis=1)[:, : cfg.window_size]
+    frames = np.fft.irfft(spec.bins, n=cfg.window_size, axis=1)
     frames = frames * win[None, :]
 
     ola = carry if carry is not None else OverlapAdd(cfg)
@@ -173,7 +172,7 @@ def extract_features(spec: ComplexSpectrogram, cfg: StftConfig, first_frame: int
 
     ch0: log(|X| + eps); ch1/ch2: cos/sin of the demodulated phase, where
     demodulation removes the expected per-frame advance
-    2*pi*f*hop/fft_size of each bin's physical frequency; ch3: group delay
+    2*pi*f*hop/window_size of each bin's physical frequency; ch3: group delay
     (wrapped backward difference along f, first column zero); ch4:
     delta-phase (wrapped backward difference along t, first row zero).
     Zero-magnitude bins take phase 0, so their demodulated phase is 0.
@@ -191,7 +190,7 @@ def extract_features(spec: ComplexSpectrogram, cfg: StftConfig, first_frame: int
 
     f_phys = np.arange(n_bins) + spec.bin_offset
     t_idx = np.arange(first_frame, first_frame + n_frames)
-    ramp = 2.0 * np.pi * cfg.hop_size / cfg.fft_size * np.outer(t_idx, f_phys)
+    ramp = 2.0 * np.pi * cfg.hop_size / cfg.window_size * np.outer(t_idx, f_phys)
     demod = _wrap_phase(phase - ramp)
     demod = np.where(mag == 0.0, 0.0, demod)
     ch1 = np.cos(demod)

@@ -109,10 +109,10 @@ class StreamState:
         self.cfg = cfg
         self.weights = weights
         self.plan = StreamPlan(cfg)
-        # per level, its last `capacity` frames as (capacity, C, F), newest last
-        widths = [FEATURE_CHANNELS] + [spec.out_ch for spec in cfg.encoder]
+        # per level, its last `capacity` frames as (capacity, C, F), newest last;
+        # level l's width is layer l+1's input width (the bottleneck's is dec1's)
         self.queues = [np.zeros((cap, ch, f), dtype=weights.dtype) for cap, ch, (f, _)
-                       in zip(self.plan.capacity, widths, cfg.encoder_shapes())]
+                       in zip(self.plan.capacity, cfg.in_channels, cfg.encoder_shapes())]
         self.frames_ingested = 0
         self.op_counter = {}
         # per decoder step, per output frame: (first input row, rows, weight)
@@ -145,7 +145,7 @@ def _encoder_step(state: StreamState, level: int) -> np.ndarray:
     x = state.queues[level - 1][state.plan.slabs[level - 1]].transpose(1, 2, 0)
     y = conv_valid(x, state.weights[f"enc{level}.weight"], state.weights[f"enc{level}.bias"],
                    spec.stride_f, 1, state.op_counter, f"enc{level}")
-    return leaky(y[:, :, 0], state.cfg.activation_slope)
+    return leaky(y[:, :, 0])
 
 
 def _decode(state: StreamState):
@@ -163,7 +163,7 @@ def _decode(state: StreamState):
         for k, (a, n, w) in enumerate(taps):
             x = frames[a : a + n].reshape(n * C, F, 1)
             y = conv_transposed_valid(x, w, b, spec.stride_f, 1, state.op_counter, name)
-            out[k] = leaky(y[:, :, 0], cfg.activation_slope)
+            out[k] = leaky(y[:, :, 0])
         frames = out
     # the last step computes only the target frame
     return head(frames[0], state.weights, state.op_counter)

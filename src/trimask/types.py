@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,13 +23,28 @@ def as_samples(signal) -> np.ndarray:
     return arr
 
 
-def check_finite(config, *names: str) -> None:
-    """Reject a config whose named fields (numbers or tuples of numbers)
-    hold NaN or an infinity."""
+def check_fields(config, kind: type, *names: str, arity: int | None = None) -> None:
+    """Reject, with a ValueError naming the field, a config whose named
+    fields are not each of `kind`: for int an integer that is not a bool,
+    for float a finite real number. With `arity`, each field is instead a
+    tuple of `arity` such values (-1: of any number of them)."""
     for name in names:
         value = getattr(config, name)
-        if not np.all(np.isfinite(value)):
-            raise ValueError(f"{type(config).__name__}.{name} must be finite, got {value!r}")
+        ok = (_is_a(value, kind) if arity is None else isinstance(value, tuple)
+              and arity in (-1, len(value)) and all(_is_a(v, kind) for v in value))
+        if not ok:
+            want = "an integer" if kind is int else "a finite number"
+            if arity is not None:
+                want = f"a tuple of {'' if arity == -1 else f'{arity} '}values, each {want}"
+            raise ValueError(f"{type(config).__name__} field {name!r} must be {want}, "
+                             f"got {value!r}")
+
+
+def _is_a(value, kind: type) -> bool:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    # an int is finite, even one too large for np.isfinite
+    return isinstance(value, numbers.Integral) or (kind is float and bool(np.isfinite(value)))
 
 
 @dataclass

@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from .masking import LOGIT_CLAMP, MaskLogits
-from .types import FEATURE_CHANNELS, FeatureStack
+from .types import FEATURE_CHANNELS, FeatureStack, check_fields
 
 HEAD_CHANNELS = 10  # 2 mask pairs x (z_k, z_notk, beta_logit, q0, q1)
+LEAKY_SLOPE = 0.01  # of every encoder and decoder layer's leaky ReLU
 
 # Head logits whose masks pass the mixture through: direct sigma = 1,
 # beta = 1, xi = +1; noise sigma = 0.
@@ -35,8 +36,10 @@ class ConvSpec:
     kernel_t: int
     stride_f: int
     stride_t: int
-    in_ch: int
     out_ch: int
+
+    def __post_init__(self):
+        check_fields(self, int, "kernel_f", "kernel_t", "stride_f", "stride_t", "out_ch")
 
 
 def _chain(size: int, kernel: int, stride: int, what: str) -> int:
@@ -56,18 +59,21 @@ class UNetConfig:
     encoder level L+1-j's kernels and strides, reads the previous decoder
     output concatenated with that level's skip (the bottleneck alone for
     j = 1), and has `decoder_channels[j-1]` outputs. `decoder` is that
-    derived ConvSpec tuple."""
+    derived ConvSpec tuple, and `in_channels` every layer's input width,
+    enc1..encL then dec1..decL."""
 
     encoder: tuple
     decoder_channels: tuple
     in_bins: int = 253
     in_frames: int = 65
-    activation_slope: float = 0.01
     lookahead_frames: int = 4
     decoder: tuple = field(init=False, repr=False)
+    in_channels: tuple = field(init=False, repr=False)
     _shapes: tuple = field(init=False, repr=False)  # per-level (freq, time), 0 = input
 
     def __post_init__(self):
+        check_fields(self, int, "in_bins", "in_frames", "lookahead_frames")
+        check_fields(self, int, "decoder_channels", arity=-1)
         if not self.encoder:
             raise ValueError("encoder must have at least one layer")
         if len(self.decoder_channels) != len(self.encoder):
@@ -76,27 +82,21 @@ class UNetConfig:
             raise ValueError("decoder_channels must be >= 1")
         if not (0 <= self.lookahead_frames <= self.in_frames - 1):
             raise ValueError("lookahead_frames out of range")
-        if not np.isfinite(self.activation_slope):
-            raise ValueError(f"activation_slope must be finite, got {self.activation_slope!r}")
-        ch = FEATURE_CHANNELS
         shapes = [(self.in_bins, self.in_frames)]
+        widths = [FEATURE_CHANNELS]
         for i, spec in enumerate(self.encoder):
             if min(spec.kernel_f, spec.kernel_t, spec.stride_f, spec.stride_t, spec.out_ch) < 1:
                 raise ValueError(f"enc{i + 1}: kernel sizes, strides and out_ch must be >= 1")
-            if spec.in_ch != ch:
-                raise ValueError(f"enc{i + 1}: expected in_ch {ch}, got {spec.in_ch}")
             f, t = shapes[-1]
             shapes.append((_chain(f, spec.kernel_f, spec.stride_f, f"enc{i + 1} freq"),
                            _chain(t, spec.kernel_t, spec.stride_t, f"enc{i + 1} time")))
-            ch = spec.out_ch
+            widths.append(spec.out_ch)  # the last is dec1's: the bottleneck alone
+        for skip, prev in zip(reversed(self.encoder[:-1]), self.decoder_channels):
+            widths.append(prev + skip.out_ch)
         object.__setattr__(self, "_shapes", tuple(shapes))
-        decoder = []
-        for mirror, out_ch in zip(reversed(self.encoder), self.decoder_channels):
-            in_ch = ch if not decoder else ch + mirror.out_ch
-            decoder.append(ConvSpec(mirror.kernel_f, mirror.kernel_t, mirror.stride_f,
-                                    mirror.stride_t, in_ch, out_ch))
-            ch = out_ch
-        object.__setattr__(self, "decoder", tuple(decoder))
+        object.__setattr__(self, "in_channels", tuple(widths))
+        decoder = zip(reversed(self.encoder), self.decoder_channels)
+        object.__setattr__(self, "decoder", tuple(replace(m, out_ch=w) for m, w in decoder))
 
     @property
     def depth(self) -> int:
@@ -132,13 +132,10 @@ def default_config(bins: int = 253, lookahead_frames: int = 4) -> UNetConfig:
     """
     enc = []
     f = bins
-    ch = FEATURE_CHANNELS
     for out_ch, st in zip(_DEFAULT_CHANNELS, _DEFAULT_TIME_STRIDES):
         kf = 5 if (f - 5) % 2 == 0 else 6
-        enc.append(ConvSpec(kernel_f=kf, kernel_t=3, stride_f=2, stride_t=st,
-                            in_ch=ch, out_ch=out_ch))
+        enc.append(ConvSpec(kernel_f=kf, kernel_t=3, stride_f=2, stride_t=st, out_ch=out_ch))
         f = (f - kf) // 2 + 1
-        ch = out_ch
     return UNetConfig(encoder=tuple(enc), decoder_channels=_DEFAULT_DEC_CHANNELS,
                       in_bins=bins, lookahead_frames=lookahead_frames)
 
@@ -164,11 +161,6 @@ def config_to_json_dict(cfg: UNetConfig) -> dict:
     return data
 
 
-def _check_int(value, what: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-
-
 def config_from_json_dict(data: dict) -> UNetConfig:
     """Inverse of config_to_json_dict; malformed input is a ValueError."""
     if not isinstance(data, dict):
@@ -184,17 +176,7 @@ def config_from_json_dict(data: dict) -> UNetConfig:
     for i, entry in enumerate(data["encoder"]):
         if not isinstance(entry, dict) or set(entry) != set(_SPEC_KEYS):
             raise ValueError(f"encoder entry {i + 1} must have exactly the keys "
-                             f"{list(_SPEC_KEYS)}")
-        for key, value in entry.items():
-            _check_int(value, f"encoder entry {i + 1} {key!r}")
-    for width in data["decoder_channels"]:
-        _check_int(width, "config 'decoder_channels' entry")
-    for key in ("in_bins", "in_frames", "lookahead_frames"):
-        if key in data:
-            _check_int(data[key], f"config {key!r}")
-    slope = data.get("activation_slope", 0.0)
-    if isinstance(slope, bool) or not isinstance(slope, (int, float)):
-        raise ValueError(f"config 'activation_slope' must be a number, got {slope!r}")
+                             f"{list(_SPEC_KEYS)}, got {entry!r}")
     return UNetConfig(**{**data, "encoder": tuple(ConvSpec(**e) for e in data["encoder"]),
                          "decoder_channels": tuple(data["decoder_channels"])})
 
@@ -220,12 +202,10 @@ class WeightSet:
 
 def _weight_shapes(cfg: UNetConfig):
     shapes = {}
-    for i, spec in enumerate(cfg.encoder):
-        shapes[f"enc{i + 1}.weight"] = (spec.out_ch, spec.in_ch, spec.kernel_f, spec.kernel_t)
-        shapes[f"enc{i + 1}.bias"] = (spec.out_ch,)
-    for j, spec in enumerate(cfg.decoder):
-        shapes[f"dec{j + 1}.weight"] = (spec.out_ch, spec.in_ch, spec.kernel_f, spec.kernel_t)
-        shapes[f"dec{j + 1}.bias"] = (spec.out_ch,)
+    names = [f"{kind}{i + 1}" for kind in ("enc", "dec") for i in range(cfg.depth)]
+    for name, spec, in_ch in zip(names, (*cfg.encoder, *cfg.decoder), cfg.in_channels):
+        shapes[f"{name}.weight"] = (spec.out_ch, in_ch, spec.kernel_f, spec.kernel_t)
+        shapes[f"{name}.bias"] = (spec.out_ch,)
     shapes["head.weight"] = (HEAD_CHANNELS, cfg.decoder_channels[-1], 1, 1)
     shapes["head.bias"] = (HEAD_CHANNELS,)
     return shapes
@@ -241,14 +221,17 @@ def random_weights(cfg: UNetConfig, seed: int, dtype=np.float32) -> WeightSet:
 
 
 def validate_weights(cfg: UNetConfig, weights: WeightSet) -> None:
+    """Every tensor the config needs is present, of its shape and finite."""
     for name, shape in _weight_shapes(cfg).items():
         if name not in weights.tensors:
             raise ValueError(f"missing tensor: {name}")
-        if tuple(weights.tensors[name].shape) != shape:
+        tensor = weights.tensors[name]
+        if tuple(tensor.shape) != shape:
             raise ValueError(
-                f"shape mismatch: {name} has {tuple(weights.tensors[name].shape)}, "
-                f"config expects {shape}"
+                f"shape mismatch: {name} has {tuple(tensor.shape)}, config expects {shape}"
             )
+        if not np.isfinite(tensor).all():
+            raise ValueError(f"non-finite values in tensor {name}")
 
 
 def save_weights(path, weights: WeightSet) -> None:
@@ -332,8 +315,8 @@ def fuse_batchnorm(conv_w: np.ndarray, conv_b: np.ndarray, gamma, beta, mean, va
     return conv_w * scale[:, None, None, None], (conv_b - mean) * scale + beta
 
 
-def leaky(x: np.ndarray, slope: float) -> np.ndarray:
-    return np.maximum(x, np.asarray(slope, dtype=x.dtype) * x)
+def leaky(x: np.ndarray) -> np.ndarray:
+    return np.maximum(x, np.asarray(LEAKY_SLOPE, dtype=x.dtype) * x)
 
 
 def _matmul(a: np.ndarray, b: np.ndarray, counter, name: str | None) -> np.ndarray:
@@ -389,20 +372,18 @@ def head(h: np.ndarray, weights: WeightSet, counter=None) -> np.ndarray:
 def unet_forward(x: np.ndarray, weights: WeightSet, cfg: UNetConfig,
                  counter=None) -> np.ndarray:
     """Full forward pass over a (FEATURE_CHANNELS, F, T) tensor -> (10, F, T) logits."""
-    slope = cfg.activation_slope
     skips = []
     h = x
     for i, spec in enumerate(cfg.encoder):
         h = leaky(conv_valid(h, weights[f"enc{i + 1}.weight"], weights[f"enc{i + 1}.bias"],
-                             spec.stride_f, spec.stride_t, counter, f"enc{i + 1}"), slope)
+                             spec.stride_f, spec.stride_t, counter, f"enc{i + 1}"))
         skips.append(h)
     L = len(cfg.encoder)
     for j, spec in enumerate(cfg.decoder):
         inp = h if j == 0 else np.concatenate([h, skips[L - 1 - j]], axis=0)
         h = leaky(conv_transposed_valid(inp, weights[f"dec{j + 1}.weight"],
                                         weights[f"dec{j + 1}.bias"],
-                                        spec.stride_f, spec.stride_t, counter, f"dec{j + 1}"),
-                  slope)
+                                        spec.stride_f, spec.stride_t, counter, f"dec{j + 1}"))
     return head(h, weights, counter)
 
 

@@ -131,7 +131,7 @@ def test_c4_multiplication_reduction():
     assert report.overall_reduction >= 0.80
 
     degenerate = UNetConfig(  # one 1x1 level, its mirrored decoder and the head
-        encoder=(ConvSpec(1, 1, 1, 1, 5, 8),), decoder_channels=(6,),
+        encoder=(ConvSpec(1, 1, 1, 1, 8),), decoder_channels=(6,),
         in_bins=253, in_frames=65, lookahead_frames=0)
     deg = count_ops(degenerate)
     assert Fraction(deg.streaming_total, deg.naive_total) == Fraction(1, 65)

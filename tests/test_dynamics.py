@@ -75,7 +75,7 @@ def test_drc_config_validation():
     with pytest.raises(ValueError):
         DrcConfig(attack_ms=0.0)
     for name in ("threshold_db", "ratio", "attack_ms", "release_ms", "makeup_db"):
-        for value in (math.nan, math.inf, -math.inf):
+        for value in (math.nan, math.inf, -math.inf, "3", True, None):
             with pytest.raises(ValueError, match=name):
                 DrcConfig(**{name: value})
     # 10^(makeup/20) overflows: rejected here, not as an OverflowError in compress

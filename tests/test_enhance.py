@@ -15,12 +15,12 @@ from trimask.unet import config_for_preset
 COMPONENTS = ("direct", "reverb", "noise", "remixed")
 
 # a small U-Net on the rt preset's 253 bins, for tests that run many streams
-_SMALL_RT_CFG = UNetConfig(encoder=(ConvSpec(5, 3, 2, 1, 5, 4), ConvSpec(5, 3, 2, 2, 4, 4)),
+_SMALL_RT_CFG = UNetConfig(encoder=(ConvSpec(5, 3, 2, 1, 4), ConvSpec(5, 3, 2, 2, 4)),
                            decoder_channels=(4, 4), in_bins=253, in_frames=9,
                            lookahead_frames=2)
 # a small STFT and a U-Net on its 64 bins, so that a short signal spans many frames
-_TINY_STFT = StftConfig(window_size=128, hop_size=32, fft_size=128, discard_low_bins=1)
-_TINY_CFG = UNetConfig(encoder=(ConvSpec(4, 3, 2, 1, 5, 4), ConvSpec(5, 3, 2, 2, 4, 6)),
+_TINY_STFT = StftConfig(window_size=128, hop_size=32, discard_low_bins=1)
+_TINY_CFG = UNetConfig(encoder=(ConvSpec(4, 3, 2, 1, 4), ConvSpec(5, 3, 2, 2, 6)),
                        decoder_channels=(4, 4), in_bins=64, in_frames=9, lookahead_frames=2)
 
 
@@ -54,7 +54,7 @@ def test_pass_through_weights_reproduce_input_no_trim():
     # with no bin trim the pass-through masks reproduce the full round trip
     from trimask import StftConfig
 
-    stft_cfg = StftConfig(512, 128, 512, discard_low_bins=0)
+    stft_cfg = StftConfig(512, 128, discard_low_bins=0)
     cfg = config_for_preset(stft_cfg)
     x = _band_limited_signal(0)
     result = enhance(x, _pass_through_weights(cfg), cfg, stft_cfg,
@@ -213,8 +213,12 @@ def test_enhance_rejects_non_finite_head_logits(rt_setup, monkeypatch, mode):
 
     stft_cfg, cfg = rt_setup
     tensors = dict(random_weights(cfg, 0).tensors)
+    # finite weights whose noise beta_logit overflows to inf wherever it is positive
+    big = np.finfo(np.float32).max
+    tensors["head.weight"] = tensors["head.weight"].copy()
+    tensors["head.weight"][7] = big
     tensors["head.bias"] = tensors["head.bias"].copy()
-    tensors["head.bias"][7] = np.inf  # noise beta_logit
+    tensors["head.bias"][7] = big
     validated = []
     post_init = trimask.masking.MaskLogits.__post_init__
 
@@ -223,11 +227,39 @@ def test_enhance_rejects_non_finite_head_logits(rt_setup, monkeypatch, mode):
         post_init(self)
 
     monkeypatch.setattr(trimask.masking.MaskLogits, "__post_init__", counted)
-    with pytest.raises(ValueError, match="finite"):
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
         enhance(_band_limited_signal(7, n=9000), WeightSet(tensors), cfg, stft_cfg, mode=mode)
     # the direct pair passes and the noise pair fails, each checked once over
     # the whole grid rather than once per emitted frame
     assert len(validated) == 2
+
+
+def _cut_dec5_kernel_t(tensors):
+    tensors["dec5.weight"] = tensors["dec5.weight"][:, :, :, :2]
+
+
+def _nan_in_enc3_bias(tensors):
+    tensors["enc3.bias"] = tensors["enc3.bias"].copy()
+    tensors["enc3.bias"][1] = np.nan
+
+
+@pytest.mark.parametrize("mode", ["causal-stream", "noncausal-window"])
+@pytest.mark.parametrize("corrupt,match", [
+    (_cut_dec5_kernel_t, "shape mismatch: dec5.weight"),
+    (_nan_in_enc3_bias, "non-finite values in tensor enc3.bias"),
+])
+def test_enhance_rejects_bad_weights_before_stft(rt_setup, monkeypatch, mode, corrupt, match):
+    import trimask.spectral
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("spectral.stft reached with bad weights")
+
+    stft_cfg, cfg = rt_setup
+    monkeypatch.setattr(trimask.spectral, "stft", unreachable)
+    tensors = dict(random_weights(cfg, 0).tensors)
+    corrupt(tensors)
+    with pytest.raises(ValueError, match=match):
+        enhance(_band_limited_signal(6, n=8000), WeightSet(tensors), cfg, stft_cfg, mode=mode)
 
 
 def test_enhance_rejects_bin_mismatch_before_stft(monkeypatch):
@@ -309,7 +341,7 @@ def test_streaming_enhancer_rejects_short_streams_and_reuse():
 def test_enhance_memory_does_not_grow_with_length():
     # tracemalloc peak beyond the result's own bytes, at 4 s and at 16 s; a
     # one-layer network keeps the pushes cheap under tracemalloc
-    cfg = UNetConfig(encoder=(ConvSpec(5, 2, 2, 1, 5, 2),), decoder_channels=(2,),
+    cfg = UNetConfig(encoder=(ConvSpec(5, 2, 2, 1, 2),), decoder_channels=(2,),
                      in_bins=253, in_frames=2, lookahead_frames=1)
     weights = random_weights(cfg, 3, dtype=np.float64)
     x = np.random.default_rng(0).uniform(-0.5, 0.5, 16 * 16000)

@@ -254,6 +254,9 @@ def test_loss_config_validation():
     with pytest.raises(ValueError):
         LossConfig(mu=-1.0)
     for name in ("preemph_alpha", "mu", "eps_norm"):
-        for value in (math.nan, math.inf):
+        for value in (math.nan, math.inf, "0.5", None):
             with pytest.raises(ValueError, match=name):
                 LossConfig(**{name: value})
+    for value in ((2.5,), (4064, 508.0), 4064, (True,)):
+        with pytest.raises(ValueError, match="segment_lengths"):
+            LossConfig(segment_lengths=value)

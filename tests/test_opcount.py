@@ -9,8 +9,7 @@ from trimask import ConvSpec, UNetConfig, count_ops, default_config, measured_op
 
 def _single_layer_config(kernel_t=1, stride_t=1):
     """One-level mirrored U-Net (encoder, decoder, head) of 1-bin kernels."""
-    enc = (ConvSpec(kernel_f=1, kernel_t=kernel_t, stride_f=1, stride_t=stride_t,
-                    in_ch=5, out_ch=8),)
+    enc = (ConvSpec(kernel_f=1, kernel_t=kernel_t, stride_f=1, stride_t=stride_t, out_ch=8),)
     return UNetConfig(encoder=enc, decoder_channels=(6,), in_bins=253, in_frames=65,
                       lookahead_frames=0)
 
@@ -31,7 +30,7 @@ def test_full_temporal_kernel_gives_zero_reduction():
 
 
 def test_full_unet_of_1x1_layers_keeps_64_65():
-    cfg = UNetConfig(encoder=(ConvSpec(1, 1, 1, 1, 5, 8),), decoder_channels=(6,),
+    cfg = UNetConfig(encoder=(ConvSpec(1, 1, 1, 1, 8),), decoder_channels=(6,),
                      in_bins=253, in_frames=65, lookahead_frames=0)
     report = count_ops(cfg)
     assert Fraction(report.streaming_total, report.naive_total) == Fraction(1, 65)
@@ -61,12 +60,9 @@ def test_analytic_equals_instrumented_random_configs():
         for s in reversed(strides):
             frames = (frames - 1) * s + 3
         enc = []
-        ch = 5
         chans = [6, 8, 10]
         for i, s in enumerate(strides):
-            enc.append(ConvSpec(kernel_f=1, kernel_t=3, stride_f=1, stride_t=s,
-                                in_ch=ch, out_ch=chans[i]))
-            ch = chans[i]
+            enc.append(ConvSpec(kernel_f=1, kernel_t=3, stride_f=1, stride_t=s, out_ch=chans[i]))
         cfg = UNetConfig(encoder=tuple(enc), decoder_channels=(6,) * depth,
                          in_bins=7, in_frames=frames,
                          lookahead_frames=int(rng.integers(0, min(4, frames))))

@@ -45,7 +45,11 @@ def test_rir_param_validation():
     with pytest.raises(ValueError):
         RirParams(tail_length=0)
     for name in ("t60", "direct_gain"):
-        for value in (math.nan, math.inf, -math.inf):
+        for value in (math.nan, math.inf, -math.inf, "0.3", True):
+            with pytest.raises(ValueError, match=name):
+                RirParams(**{name: value})
+    for name in ("direct_delay", "tail_length", "seed"):
+        for value in (2.5, 1.0, "16", False):
             with pytest.raises(ValueError, match=name):
                 RirParams(**{name: value})
 
@@ -152,6 +156,9 @@ def test_scenario_ranges_validation():
     with pytest.raises(ValueError):
         ScenarioRanges(t60=(-0.1, 0.5))
     for name in ("snr_db", "t60"):
-        for bad in ((math.nan, 1.0), (0.1, math.inf)):
+        for bad in ((math.nan, 1.0), (0.1, math.inf), (0.5,), (0.1, 0.5, 0.9), ("0.1", 0.5),
+                    [0.1, 0.5], 0.5):
             with pytest.raises(ValueError, match=name):
                 ScenarioRanges(**{name: bad})
+    with pytest.raises(ValueError, match="segment_samples"):
+        ScenarioRanges(segment_samples=6400.0)

@@ -8,13 +8,13 @@ from trimask.spectral import EPS_MAG, OverlapAdd, _analysis_window
 from trimask.types import ComplexSpectrogram
 
 
-def _direct_dft_frame(x, win, fft_size):
+def _direct_dft_frame(x, win):
     """O(N^2) DFT oracle for one windowed frame."""
     xw = x * win
-    n = np.arange(fft_size)
-    bins = np.zeros(fft_size // 2 + 1, dtype=complex)
-    for k in range(fft_size // 2 + 1):
-        bins[k] = np.sum(xw * np.exp(-2j * np.pi * k * n[: len(xw)] / fft_size))
+    n = np.arange(len(xw))
+    bins = np.zeros(len(xw) // 2 + 1, dtype=complex)
+    for k in range(len(bins)):
+        bins[k] = np.sum(xw * np.exp(-2j * np.pi * k * n / len(xw)))
     return bins
 
 
@@ -32,7 +32,7 @@ def test_stft_too_short_errors():
 def test_stft_cosine_at_bin_center_against_direct_dft():
     cfg = RT_PRESET
     fs = 16000
-    freq = 32 * fs / cfg.fft_size  # exactly bin 32
+    freq = 32 * fs / cfg.window_size  # exactly bin 32
     n = np.arange(4096)
     x = np.cos(2 * np.pi * freq / fs * n)
     spec = stft(x, cfg)
@@ -44,7 +44,7 @@ def test_stft_cosine_at_bin_center_against_direct_dft():
         assert 20 * np.log10(peak / outside.max()) >= 40.0
 
     win = _analysis_window(cfg)
-    oracle = _direct_dft_frame(x[: cfg.window_size], win, cfg.fft_size)
+    oracle = _direct_dft_frame(x[: cfg.window_size], win)
     assert np.max(np.abs(spec.bins[0] - oracle)) < 1e-8 * np.max(np.abs(oracle))
 
 
@@ -56,7 +56,7 @@ def test_stft_parseval(cfg):
     spec = stft(x, cfg)
     for t in range(spec.frame_count):
         xw = x[t * cfg.hop_size : t * cfg.hop_size + cfg.window_size] * win
-        time_energy = cfg.fft_size * np.sum(xw**2)
+        time_energy = cfg.window_size * np.sum(xw**2)
         b = spec.bins[t]
         freq_energy = (np.abs(b[0]) ** 2 + np.abs(b[-1]) ** 2
                        + 2 * np.sum(np.abs(b[1:-1]) ** 2))
@@ -110,7 +110,7 @@ def test_istft_single_frame_impulse_against_inverse_dft():
     spec = stft(x, cfg)
     assert spec.frame_count == 1
     win = _analysis_window(cfg)
-    frame = np.fft.irfft(spec.bins[0], n=cfg.fft_size)[: cfg.window_size]
+    frame = np.fft.irfft(spec.bins[0], n=cfg.window_size)
     assert np.allclose(frame, win * x, atol=1e-12)
     y = istft(spec, cfg).samples
     support = win > 1e-6
@@ -170,14 +170,14 @@ def test_features_demodulation_constant_for_tone(bin_idx):
     cfg = RT_PRESET
     fs = 16000
     n = np.arange(8192)
-    x = np.cos(2 * np.pi * (bin_idx * fs / cfg.fft_size) / fs * n + 0.41)
+    x = np.cos(2 * np.pi * (bin_idx * fs / cfg.window_size) / fs * n + 0.41)
     spec = trim_low_bins(stft(x, cfg), 4)
     feats = extract_features(spec, cfg)
     col = bin_idx - 4
     assert np.ptp(feats.channels[1][:, col]) < 1e-6
     assert np.ptp(feats.channels[2][:, col]) < 1e-6
     # raw phase does advance between frames for off-multiple advances
-    expected_advance = 2 * np.pi * bin_idx * cfg.hop_size / cfg.fft_size
+    expected_advance = 2 * np.pi * bin_idx * cfg.hop_size / cfg.window_size
     if abs(np.angle(np.exp(1j * expected_advance))) > 1e-6:
         phases = np.angle(spec.bins[:, col])
         assert np.ptp(phases) > 1e-3
@@ -208,9 +208,12 @@ def test_features_shapes_and_unit_circle():
 
 def test_stftconfig_validation():
     with pytest.raises(ValueError):
-        StftConfig(window_size=512, hop_size=100, fft_size=512)
-    with pytest.raises(ValueError):
-        StftConfig(window_size=512, hop_size=128, fft_size=256)
+        StftConfig(window_size=512, hop_size=100)
+    for match, args in [("hop_size", (512, 0)), ("hop_size", (512, -128)),
+                        ("window_size", (0, 128)), ("'window_size'", (512.0, 128)),
+                        ("'hop_size'", (512, "128")), ("'discard_low_bins'", (512, 128, 4.0))]:
+        with pytest.raises(ValueError, match=match):
+            StftConfig(*args)
     assert RT_PRESET.bin_count == 257
     assert NRT_PRESET.bin_count == 513
 
@@ -219,9 +222,7 @@ def test_shipped_preset_parameters():
     from trimask.spectral import PRESETS
 
     rt = PRESETS["rt"]
-    assert (rt.window_size, rt.hop_size, rt.fft_size, rt.discard_low_bins) \
-        == (512, 128, 512, 4)
+    assert (rt.window_size, rt.hop_size, rt.discard_low_bins) == (512, 128, 4)
     nrt = PRESETS["nrt"]
-    assert (nrt.window_size, nrt.hop_size, nrt.fft_size, nrt.discard_low_bins) \
-        == (1024, 256, 1024, 0)
+    assert (nrt.window_size, nrt.hop_size, nrt.discard_low_bins) == (1024, 256, 0)
     assert rt.bin_count - rt.discard_low_bins == 253

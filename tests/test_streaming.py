@@ -199,14 +199,11 @@ def _mirrored_config(strides, kernels_t, lookahead, bins=17, stride_f=1,
         t = (t - 1) * s + kt
     chans = [4 + 2 * i for i in range(len(strides))]
     enc = []
-    ch = 5
     f = bins
     for s, kt, out in zip(strides, kernels_t, chans):
         kf = 1 if stride_f == 1 else (5 if (f - 5) % 2 == 0 else 6)
-        enc.append(ConvSpec(kernel_f=kf, kernel_t=kt, stride_f=stride_f,
-                            stride_t=s, in_ch=ch, out_ch=out))
+        enc.append(ConvSpec(kernel_f=kf, kernel_t=kt, stride_f=stride_f, stride_t=s, out_ch=out))
         f = (f - kf) // stride_f + 1
-        ch = out
     return UNetConfig(encoder=tuple(enc), decoder_channels=(6,) * len(enc), in_bins=bins,
                       in_frames=t, lookahead_frames=lookahead)
 

@@ -38,39 +38,45 @@ def test_rt_preset_lookahead_frames():
 
 
 def test_config_validation_errors():
-    bad = (ConvSpec(5, 3, 2, 1, 5, 16),)
+    bad = (ConvSpec(5, 3, 2, 1, 16),)
     with pytest.raises(ValueError, match="does not divide exactly"):
         UNetConfig(encoder=bad, decoder_channels=(16,), in_bins=254)
-    with pytest.raises(ValueError, match="expected in_ch"):
-        UNetConfig(encoder=(ConvSpec(5, 3, 2, 1, 4, 16),), decoder_channels=(16,), in_bins=253)
+    # integer fields take integers, not floats, strings or bools
+    for field, kwargs in [("'in_bins'", {"in_bins": 253.0}), ("'in_frames'", {"in_frames": "65"}),
+                          ("'lookahead_frames'", {"lookahead_frames": True}),
+                          ("'decoder_channels'", {"decoder_channels": (16.0,)}),
+                          ("'decoder_channels'", {"decoder_channels": [16]})]:
+        with pytest.raises(ValueError, match=field):
+            UNetConfig(**{"encoder": bad, "decoder_channels": (16,), **kwargs})
+    with pytest.raises(ValueError, match="'kernel_f'"):
+        ConvSpec(kernel_f=5.0, kernel_t=3, stride_f=2, stride_t=1, out_ch=16)
+    with pytest.raises(ValueError, match="'out_ch'"):
+        ConvSpec(5, 3, 2, 1, None)
 
 
 @pytest.mark.parametrize("spec,decoder_channels,match", [
-    (ConvSpec(0, 3, 2, 1, 5, 16), (16,), ">= 1"),
-    (ConvSpec(5, 0, 2, 1, 5, 16), (16,), ">= 1"),
-    (ConvSpec(5, 3, 0, 1, 5, 16), (16,), ">= 1"),
-    (ConvSpec(5, 3, 2, 1, 5, 0), (16,), ">= 1"),
-    (ConvSpec(5, 3, 2, 1, 5, 16), (0,), "decoder_channels must be >= 1"),
-    (ConvSpec(5, 3, 2, 1, 5, 16), (16, 16), "one width per encoder level"),
+    (ConvSpec(0, 3, 2, 1, 16), (16,), ">= 1"),
+    (ConvSpec(5, 0, 2, 1, 16), (16,), ">= 1"),
+    (ConvSpec(5, 3, 0, 1, 16), (16,), ">= 1"),
+    (ConvSpec(5, 3, 2, 1, 0), (16,), ">= 1"),
+    (ConvSpec(5, 3, 2, 1, 16), (0,), "decoder_channels must be >= 1"),
+    (ConvSpec(5, 3, 2, 1, 16), (16, 16), "one width per encoder level"),
 ])
 def test_config_rejects_sizes_below_one(spec, decoder_channels, match):
     with pytest.raises(ValueError, match=match):
         UNetConfig(encoder=(spec,), decoder_channels=decoder_channels, in_bins=253)
 
 
-@pytest.mark.parametrize("slope", [float("nan"), float("inf"), -float("inf")])
-def test_config_rejects_non_finite_activation_slope(slope):
-    with pytest.raises(ValueError, match="activation_slope must be finite"):
-        UNetConfig(encoder=(ConvSpec(5, 3, 2, 1, 5, 16),), decoder_channels=(16,),
-                   in_bins=253, activation_slope=slope)
-
-
 def test_decoder_mirrors_encoder_with_skip_widths():
-    # in_ch = previous decoder width + the mirrored encoder level's width
-    assert default_config().decoder == (
-        ConvSpec(5, 3, 2, 1, 80, 64), ConvSpec(5, 3, 2, 2, 64 + 64, 48),
-        ConvSpec(5, 3, 2, 1, 48 + 48, 32), ConvSpec(5, 3, 2, 2, 32 + 32, 16),
-        ConvSpec(5, 3, 2, 1, 16 + 16, 16))
+    cfg = default_config()
+    assert cfg.decoder == (
+        ConvSpec(5, 3, 2, 1, 64), ConvSpec(5, 3, 2, 2, 48),
+        ConvSpec(5, 3, 2, 1, 32), ConvSpec(5, 3, 2, 2, 16),
+        ConvSpec(5, 3, 2, 1, 16))
+    # enc1 reads the features, each later layer the one before; dec1 reads the
+    # bottleneck, each later decoder layer the previous output plus its skip
+    # (64 + 64, 48 + 48, 32 + 32, 16 + 16)
+    assert cfg.in_channels == (5, 16, 32, 48, 64, 80, 128, 96, 64, 32)
 
 
 @pytest.mark.parametrize("lookahead_ms", [float("inf"), float("-inf"), float("nan")])
@@ -360,10 +366,10 @@ def test_validate_weights_missing_tensor():
 
 def test_leaky_slope():
     x = np.array([-2.0, 0.0, 3.0])
-    assert np.array_equal(leaky(x, 0.01), [-0.02, 0.0, 3.0])
+    assert np.array_equal(leaky(x), [-0.02, 0.0, 3.0])
 
 
-_FUZZ_CFG = UNetConfig(encoder=(ConvSpec(1, 1, 1, 1, 5, 2),), decoder_channels=(2,),
+_FUZZ_CFG = UNetConfig(encoder=(ConvSpec(1, 1, 1, 1, 2),), decoder_channels=(2,),
                        in_bins=3, in_frames=2, lookahead_frames=0)
 
 
