@@ -72,8 +72,8 @@ def _cmd_enhance(args) -> int:
         return 2
     stft_cfg = PRESETS[args.preset]
     cfg = config_for_preset(stft_cfg, lookahead_ms=args.lookahead_ms)
-    if args.weights is not None:
-        weights = load_weights(args.weights, cfg)
+    if args.weights is not None:  # enhance checks them against cfg, before the STFT
+        weights = load_weights(args.weights)
     else:
         weights = random_weights(cfg, args.seed)
 

@@ -82,7 +82,13 @@ class StreamingEnhancer:
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
         check_reverb_gain_db(reverb_gain_db)
-        validate_weights(cfg, weights)
+        # the weights are validated once, before any audio
+        if mode == "causal-stream":
+            self._state = StreamState(cfg, weights)  # validates them
+        else:
+            validate_weights(cfg, weights)
+            # the last in_frames - 1 feature frames, (C, F, T)
+            self._history = np.zeros((FEATURE_CHANNELS, cfg.in_bins, 0), dtype=weights.dtype)
         bins = stft_cfg.bin_count - stft_cfg.discard_low_bins
         if cfg.in_bins != bins:
             raise ValueError(f"config expects {cfg.in_bins} bins, the STFT gives {bins}")
@@ -96,10 +102,6 @@ class StreamingEnhancer:
         self._pending = np.zeros((0, bins), dtype=complex)  # frames awaiting heads
         self._ola = [spectral.OverlapAdd(stft_cfg) for _ in range(3)]
         self._drc_state = DrcState()
-        if mode == "causal-stream":
-            self._state = StreamState(cfg, weights)
-        else:  # the last in_frames - 1 feature frames, (C, F, T)
-            self._history = np.zeros((FEATURE_CHANNELS, bins, 0), dtype=weights.dtype)
 
     def process(self, samples) -> EnhancedSamples:
         return self._advance(samples, final=False)

@@ -16,17 +16,30 @@ contributor sets whose values legitimately change as the window advances, so
 the (few) frames feeding the single emitted output are recomputed each push;
 the skip-connection inputs they consume come from the encoder queues and are
 never recomputed.
+
+:class:`StreamState` compiles the plan once: each encoder level's im2col is a
+static strided view of its queue slab with a column buffer; each decoder
+step packs its layer's taps into one matrix, of which every output frame's
+GEMM operand is a column slice, and owns its input, output and scatter
+buffers. A push is then a fixed run of GEMMs (through ``unet._matmul``, the
+one multiply tally) and in-place copies and ufuncs; a decoder step fills its
+bias, adds its ``kf`` scatter taps and applies the leaky step once over all
+of its output frames. Beyond numpy's transient iterator buffers, it
+allocates only the head frame it returns. The
+multiplies and their summation order are those of ``unet``'s kernels, so
+the output is theirs bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .types import FEATURE_CHANNELS
-from .unet import (UNetConfig, WeightSet, conv_transposed_valid, conv_valid, head, leaky,
+from .unet import (UNetConfig, WeightSet, _im2col, _matmul, _scatter_pairs, head, leaky,
                    validate_weights)
 
 
@@ -97,95 +110,150 @@ class StreamPlan:
                       for step, read in zip(steps, slices[L:])]
 
 
+class _EncoderLevel(NamedTuple):
+    """One encoder layer's compiled push: its im2col, GEMM and bias, then
+    its queue shifted by one frame and its leaky output written newest."""
+    first: int             # the first push (frame index) that reaches the layer
+    name: str
+    window: np.ndarray     # (C, kf, kt, Fo, 1) im2col view of the lower queue's slab
+    cols_in: np.ndarray    # `cols` as (C, kf, kt, Fo, 1), where the window is copied
+    cols: np.ndarray       # (C*kf*kt, Fo) GEMM operand
+    weight: np.ndarray     # (O, C*kf*kt)
+    bias: np.ndarray       # (O, Fo), each row one bias value
+    y: np.ndarray          # (O, Fo) GEMM output
+    scratch: np.ndarray    # (O, Fo) for the leaky step
+    queue: tuple           # its queue's _advance views
+
+
+class _DecoderLayer(NamedTuple):
+    """One decoder step's compiled push over all of its output frames."""
+    name: str
+    skip: np.ndarray       # the input buffer's skip (dec1: bottleneck) channels
+    read: np.ndarray       # the queue frames that fill them
+    gemms: tuple           # per output frame: (taps operand, input rows, output rows)
+    y: np.ndarray          # (frames, O, Fo)
+    bias: np.ndarray       # (O, 1)
+    scatter: list          # (dst, src) pairs, one per frequency tap
+    out: np.ndarray        # receives the leaky y: the next step's input channels, or the head's
+    scratch: np.ndarray    # y-shaped, for the leaky step
+
+
 class StreamState:
     """Mutable per-stream state: frame queues, counters, op tallies.
 
     Exclusively owned by one stream; feed frames in temporal order through
-    :func:`stream_push`.
+    :func:`stream_push`. Construction compiles the push: every view,
+    operand and buffer it touches is built here once.
     """
 
     def __init__(self, cfg: UNetConfig, weights: WeightSet):
         validate_weights(cfg, weights)
         self.cfg = cfg
         self.weights = weights
-        self.plan = StreamPlan(cfg)
+        self.plan = plan = StreamPlan(cfg)
+        dtype = weights.dtype
         # per level, its last `capacity` frames as (capacity, C, F), newest last;
         # level l's width is layer l+1's input width (the bottleneck's is dec1's)
-        self.queues = [np.zeros((cap, ch, f), dtype=weights.dtype) for cap, ch, (f, _)
-                       in zip(self.plan.capacity, cfg.in_channels, cfg.encoder_shapes())]
+        self.queues = [np.zeros((cap, ch, f), dtype=dtype) for cap, ch, (f, _)
+                       in zip(plan.capacity, cfg.in_channels, cfg.encoder_shapes())]
         self.frames_ingested = 0
         self.op_counter = {}
-        # per decoder step, per output frame: (first input row, rows, weight)
-        self.dec_taps = [_pack_decoder(step, weights[f"dec{step.layer}.weight"])
-                         for step in self.plan.steps]
+        self.input_queue = _advance(self.queues[0])
+        self.encoder = [_compile_encoder(self, level) for level in range(1, cfg.depth + 1)]
+        # each decoder step's input buffer (its frames, channels, bins), then the head's
+        dec_in = [np.empty((len(step.inputs), ch, f), dtype=dtype) for step, ch, (f, _)
+                  in zip(plan.steps, cfg.in_channels[cfg.depth:], cfg.decoder_shapes())]
+        self.head_in = np.empty((cfg.decoder_channels[-1], cfg.in_bins), dtype=dtype)
+        outs = [x[:, :spec.out_ch] for x, spec in zip(dec_in[1:], cfg.decoder)]
+        outs.append(self.head_in[None])
+        self.decoder = [_compile_decoder(self, step, x, out)
+                        for step, x, out in zip(plan.steps, dec_in, outs)]
 
 
-def _pack_decoder(step: _DecoderStep, w: np.ndarray) -> list:
-    """Per output frame of `step`, its contributor rows and its taps'
-    weights as (O, n*C, kf, 1) for :func:`conv_transposed_valid`, laid out
-    so that the kernel's (kf*O, n*C) GEMM operand is a view."""
-    O, C, kf, _ = w.shape
-    out = []
-    for row in step.taps:
-        taps = [tap for _, tap in row]
-        packed = np.ascontiguousarray(w[:, :, :, taps].transpose(2, 0, 3, 1))
-        view = packed.reshape(kf, O, len(row) * C).transpose(1, 2, 0)[:, :, :, None]
-        out.append((row[0][0] - step.inputs[0], len(row), view))
-    return out
+def _advance(queue: np.ndarray) -> tuple:
+    """(dst, src, newest) views of a queue: assigning src to dst moves every
+    frame one older, and newest then takes the new frame. dst and src are
+    flat, so their overlapping copy runs in place without a temporary."""
+    flat = queue.reshape(-1)
+    return flat[: flat.size - queue[0].size], flat[queue[0].size :], queue[-1]
 
 
-def _append(queue: np.ndarray, frame: np.ndarray) -> None:
-    queue[:-1] = queue[1:]
-    queue[-1] = frame
-
-
-def _encoder_step(state: StreamState, level: int) -> np.ndarray:
-    """Compute encoder `level`'s newest frame from its slab of the level below."""
+def _compile_encoder(state: StreamState, level: int) -> _EncoderLevel:
     spec = state.cfg.encoder[level - 1]
-    x = state.queues[level - 1][state.plan.slabs[level - 1]].transpose(1, 2, 0)
-    y = conv_valid(x, state.weights[f"enc{level}.weight"], state.weights[f"enc{level}.bias"],
-                   spec.stride_f, 1, state.op_counter, f"enc{level}")
-    return leaky(y[:, :, 0])
+    w = state.weights[f"enc{level}.weight"]
+    O, C, kf, kt = w.shape
+    below = state.queues[level - 1][state.plan.slabs[level - 1]].transpose(1, 2, 0)
+    window = _im2col(below, kf, kt, spec.stride_f, 1)
+    cols = np.empty((C * kf * kt, window.shape[3]), dtype=w.dtype)
+    y = np.empty((O, window.shape[3]), dtype=w.dtype)
+    # the bias is laid out as y, so that adding it is a plain contiguous loop
+    bias = np.repeat(state.weights[f"enc{level}.bias"][:, None], y.shape[1], axis=1)
+    return _EncoderLevel(state.plan.delta[level], f"enc{level}", window,
+                         cols.reshape(window.shape), cols, w.reshape(O, -1), bias, y,
+                         np.empty_like(y), _advance(state.queues[level]))
 
 
-def _decode(state: StreamState):
-    cfg = state.cfg
-    frames = None
-    for step, taps in zip(state.plan.steps, state.dec_taps):
-        spec = cfg.decoder[step.layer - 1]
-        name = f"dec{step.layer}"
-        b = state.weights[f"{name}.bias"]
-        read = state.queues[step.level][step.read]
-        frames = read if frames is None else np.concatenate([frames, read], axis=1)
-        _, C, F = frames.shape
-        out = np.empty((len(taps), spec.out_ch, (F - 1) * spec.stride_f + spec.kernel_f),
-                       dtype=frames.dtype)
-        for k, (a, n, w) in enumerate(taps):
-            x = frames[a : a + n].reshape(n * C, F, 1)
-            y = conv_transposed_valid(x, w, b, spec.stride_f, 1, state.op_counter, name)
-            out[k] = leaky(y[:, :, 0])
-        frames = out
-    # the last step computes only the target frame
-    return head(frames[0], state.weights, state.op_counter)
+def _compile_decoder(state: StreamState, step: _DecoderStep, x: np.ndarray,
+                     out: np.ndarray) -> _DecoderLayer:
+    """Step `step` reading input buffer x (frames, C, F) and writing its
+    leaky output frames to `out`. Its taps are packed once into one
+    (kf*O, kt*C) matrix, grouped by residue mod stride_t and descending in
+    each group, so every output frame's taps are a column slice of it."""
+    name = f"dec{step.layer}"
+    spec = state.cfg.decoder[step.layer - 1]
+    w = state.weights[f"{name}.weight"]
+    O, C, kf, kt = w.shape
+    F = x.shape[2]
+    order = sorted(range(kt), key=lambda tap: (tap % spec.stride_t, -tap))
+    packed = np.ascontiguousarray(w[:, :, :, order].transpose(2, 0, 3, 1)).reshape(kf * O, -1)
+    contrib = np.empty((len(step.taps), kf * O, F), dtype=w.dtype)
+    gemms = []
+    for row, c in zip(step.taps, contrib):
+        first, n = order.index(row[0][1]) * C, len(row) * C
+        a = row[0][0] - step.inputs[0]
+        gemms.append((packed[:, first : first + n], x[a : a + len(row)].reshape(n, F), c))
+    y = np.empty((len(step.taps), O, (F - 1) * spec.stride_f + kf), dtype=w.dtype)
+    scatter = _scatter_pairs(y[..., None], contrib.reshape(-1, kf, 1, O, F, 1),
+                             spec.stride_f, 1)
+    skip = x[:, C - state.queues[step.level].shape[1]:]
+    return _DecoderLayer(name, skip, state.queues[step.level][step.read], tuple(gemms), y,
+                         state.weights[f"{name}.bias"][:, None], scatter, out,
+                         np.empty_like(y))
 
 
 def stream_push(frame: np.ndarray, state: StreamState):
     """Ingest one feature frame (FEATURE_CHANNELS, bins); returns the (10, bins)
     head frame for frame n - lookahead, in the weights' dtype, once the
     first full analysis window exists, else None."""
-    cfg = state.cfg
-    plan = state.plan
-    frame = np.asarray(frame, dtype=state.weights.dtype)
-    if frame.shape != (FEATURE_CHANNELS, cfg.in_bins):
-        raise ValueError(f"expected frame shape ({FEATURE_CHANNELS}, {cfg.in_bins}), "
+    frame = np.asarray(frame)
+    if frame.shape != (FEATURE_CHANNELS, state.cfg.in_bins):
+        raise ValueError(f"expected frame shape ({FEATURE_CHANNELS}, {state.cfg.in_bins}), "
                          f"got {frame.shape}")
     n = state.frames_ingested
-    _append(state.queues[0], frame)
-    for level in range(1, cfg.depth + 1):
-        if n >= plan.delta[level]:
-            _append(state.queues[level], _encoder_step(state, level))
+    counter = state.op_counter
+    dst, src, newest = state.input_queue
+    dst[...] = src
+    newest[...] = frame
+    for enc in state.encoder:
+        if n < enc.first:
+            break
+        enc.cols_in[...] = enc.window
+        _matmul(enc.weight, enc.cols, counter, enc.name, out=enc.y)
+        np.add(enc.y, enc.bias, out=enc.y)
+        dst, src, newest = enc.queue
+        dst[...] = src
+        leaky(enc.y, out=newest, scratch=enc.scratch)
     state.frames_ingested += 1
 
-    if n < cfg.in_frames - 1:
+    if n < state.cfg.in_frames - 1:
         return None
-    return _decode(state)
+    for dec in state.decoder:
+        dec.skip[...] = dec.read
+        for a, x, c in dec.gemms:
+            _matmul(a, x, counter, dec.name, out=c)
+        dec.y[...] = dec.bias
+        for dst, src in dec.scatter:
+            dst += src
+        dec.out[...] = leaky(dec.y, out=dec.y, scratch=dec.scratch)
+    # the last step computes only the target frame
+    return head(state.head_in, state.weights, counter)

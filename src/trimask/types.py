@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -41,6 +42,11 @@ def check_fields(config, kind: type, *names: str, arity: int | None = None) -> N
 
 
 def _is_a(value, kind: type) -> bool:
+    # exact built-in types first: the numbers ABC checks below are slow
+    if type(value) is int:
+        return True
+    if type(value) is float:
+        return kind is float and math.isfinite(value)
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         return False
     # an int is finite, even one too large for np.isfinite

@@ -315,29 +315,46 @@ def fuse_batchnorm(conv_w: np.ndarray, conv_b: np.ndarray, gamma, beta, mean, va
     return conv_w * scale[:, None, None, None], (conv_b - mean) * scale + beta
 
 
-def leaky(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, np.asarray(LEAKY_SLOPE, dtype=x.dtype) * x)
+def leaky(x: np.ndarray, out=None, scratch=None) -> np.ndarray:
+    """Leaky ReLU; `out` and `scratch` (for the scaled copy) are optional
+    buffers of x's shape."""
+    return np.maximum(x, np.multiply(x, LEAKY_SLOPE, out=scratch), out=out)
 
 
-def _matmul(a: np.ndarray, b: np.ndarray, counter, name: str | None) -> np.ndarray:
-    """``a @ b``; with a counter, its multiplies are tallied under ``name``.
-    Every GEMM of both backends runs through here, so this is the one place
-    that counts multiplies."""
+def _matmul(a: np.ndarray, b: np.ndarray, counter, name: str | None,
+            out=None) -> np.ndarray:
+    """``a @ b``, into `out` if given; with a counter, its multiplies are
+    tallied under ``name``. Every GEMM of both backends runs through here,
+    so this is the one place that counts multiplies."""
     if counter is not None:
         counter[name] = counter.get(name, 0) + a.shape[0] * a.shape[1] * b.shape[1]
-    return a @ b
+    return np.matmul(a, b, out=out)
+
+
+def _im2col(x: np.ndarray, kf: int, kt: int, sf: int, st: int) -> np.ndarray:
+    """The (C, kf, kt, Fo, To) strided view of x (C, F, T) whose [c, i, j]
+    plane holds tap (i, j) of channel c under every output position of a
+    valid (kf, kt) convolution with strides (sf, st)."""
+    windows = np.lib.stride_tricks.sliding_window_view(x, (kf, kt), axis=(1, 2))
+    return windows[:, ::sf, ::st].transpose(0, 3, 4, 1, 2)
+
+
+def _scatter_pairs(y: np.ndarray, contrib: np.ndarray, sf: int, st: int) -> list:
+    """The transposed convolution's (dst, src) view pairs, tap by tap: tap
+    (i, j) of contrib (..., kf, kt, O, F, T) adds onto y (..., O, Fo, To) at
+    frequency rows i, i+sf, ... and time columns j, j+st, ..."""
+    *_, kf, kt, _, F, T = contrib.shape
+    return [(y[..., i : i + (F - 1) * sf + 1 : sf, j : j + (T - 1) * st + 1 : st],
+             contrib[..., i, j, :, :, :]) for i in range(kf) for j in range(kt)]
 
 
 def conv_valid(x: np.ndarray, w: np.ndarray, b: np.ndarray, sf: int, st: int,
                counter=None, name: str | None = None) -> np.ndarray:
     """Valid strided 2-D convolution; x is (C, F, T), w is (O, C, kf, kt)."""
     O, C, kf, kt = w.shape
-    _, F, T = x.shape
-    Fo = (F - kf) // sf + 1
-    To = (T - kt) // st + 1
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kf, kt), axis=(1, 2))
-    windows = windows[:, ::sf, ::st]  # (C, Fo, To, kf, kt)
-    cols = np.ascontiguousarray(windows.transpose(0, 3, 4, 1, 2)).reshape(C * kf * kt, Fo * To)
+    windows = _im2col(x, kf, kt, sf, st)
+    _, _, _, Fo, To = windows.shape
+    cols = np.ascontiguousarray(windows).reshape(C * kf * kt, Fo * To)
     y = _matmul(w.reshape(O, -1), cols, counter, name).reshape(O, Fo, To)
     y += b[:, None, None]
     return y
@@ -349,15 +366,12 @@ def conv_transposed_valid(x: np.ndarray, w: np.ndarray, b: np.ndarray, sf: int, 
     kernel-1 per axis. Edge positions naturally receive fewer taps."""
     O, C, kf, kt = w.shape
     _, F, T = x.shape
-    Fo = (F - 1) * sf + kf
-    To = (T - 1) * st + kt
-    y = np.empty((O, Fo, To), dtype=x.dtype)
+    y = np.empty((O, (F - 1) * sf + kf, (T - 1) * st + kt), dtype=x.dtype)
     y[:] = b[:, None, None]
     contrib = _matmul(w.transpose(2, 3, 0, 1).reshape(kf * kt * O, C), x.reshape(C, F * T),
                       counter, name).reshape(kf, kt, O, F, T)
-    for i in range(kf):
-        for j in range(kt):
-            y[:, i : i + (F - 1) * sf + 1 : sf, j : j + (T - 1) * st + 1 : st] += contrib[i, j]
+    for dst, src in _scatter_pairs(y, contrib, sf, st):
+        dst += src
     return y
 
 

@@ -78,6 +78,12 @@ def test_drc_config_validation():
         for value in (math.nan, math.inf, -math.inf, "3", True, None):
             with pytest.raises(ValueError, match=name):
                 DrcConfig(**{name: value})
+    # numpy scalars are numbers like the built-ins, and a huge int is finite
+    for value in (np.int64(3), np.float32(0.5), 10**400):
+        assert DrcConfig(threshold_db=value).threshold_db == value
+    for value in (np.float32("nan"), np.bool_(True)):
+        with pytest.raises(ValueError, match="threshold_db"):
+            DrcConfig(threshold_db=value)
     # 10^(makeup/20) overflows: rejected here, not as an OverflowError in compress
     with pytest.raises(ValueError, match="makeup_db"):
         DrcConfig(makeup_db=1e6)

@@ -262,6 +262,32 @@ def test_enhance_rejects_bad_weights_before_stft(rt_setup, monkeypatch, mode, co
         enhance(_band_limited_signal(6, n=8000), WeightSet(tensors), cfg, stft_cfg, mode=mode)
 
 
+@pytest.mark.parametrize("mode", ["causal-stream", "noncausal-window"])
+def test_weights_are_validated_once_per_enhance_and_per_cli_clip(tmp_path, monkeypatch, mode):
+    from trimask import cli, save_weights, write_wav
+
+    calls = []
+    original = importlib.import_module("trimask.unet").validate_weights
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name in ("trimask.unet", "trimask.streaming", "trimask.enhance"):
+        monkeypatch.setattr(importlib.import_module(name), "validate_weights", counted)
+    x = _band_limited_signal(4, n=9000)
+    enhance(x, random_weights(_SMALL_RT_CFG, 1), _SMALL_RT_CFG, RT_PRESET, mode=mode)
+    assert len(calls) == 1
+    write_wav(tmp_path / "in.wav", x)
+    save_weights(tmp_path / "w.phmw", random_weights(config_for_preset(RT_PRESET), 1))
+    cli_mode = "causal" if mode == "causal-stream" else "noncausal"
+    for source in (["--weights", str(tmp_path / "w.phmw")], ["--seed", "1"]):
+        calls.clear()
+        assert cli.main(["enhance", "--input", str(tmp_path / "in.wav"), "--output",
+                         str(tmp_path / "out.wav"), "--mode", cli_mode, *source]) == 0
+        assert len(calls) == 1
+
+
 def test_enhance_rejects_bin_mismatch_before_stft(monkeypatch):
     import trimask.spectral
 

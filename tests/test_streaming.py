@@ -1,11 +1,13 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trimask import (ConvSpec, UNetConfig, count_ops, default_config, measured_ops,
-                     naive_infer, random_weights, required_queues)
+from trimask import (ConvSpec, UNetConfig, config_for_preset, count_ops, default_config,
+                     measured_ops, naive_infer, random_weights, required_queues)
+from trimask.spectral import PRESETS
 from trimask.streaming import StreamPlan, StreamState, stream_push
 
 
@@ -148,21 +150,73 @@ def test_op_counter_holds_only_the_layers_run_so_far():
                                     for l in range(1, cfg.depth + 1) if n >= delta[l]}
 
 
-def test_decoder_tap_weights_are_views_of_the_gemm_operand():
-    # each output frame's weight is its taps of the layer's weight, laid out
-    # so that conv_transposed_valid's (kf*O, n*C) operand needs no copy
+def test_decoder_frame_operands_are_column_slices_of_one_matrix_per_step():
+    # each step packs its layer's taps once; an output frame's GEMM operand
+    # is its gathered taps, as a column slice of that step's storage
     cfg = default_config()
     weights = random_weights(cfg, 0)
     state = StreamState(cfg, weights)
-    for step, taps in zip(state.plan.steps, state.dec_taps):
+    packed_bytes = 0
+    for step, dec in zip(state.plan.steps, state.decoder):
         full = weights[f"dec{step.layer}.weight"]
         O, C, kf, _ = full.shape
-        for (first, n, w), row in zip(taps, step.taps):
-            assert step.inputs[first] == row[0][0] and n == len(row)
-            operand = w.transpose(2, 3, 0, 1).reshape(kf * O, n * C)
-            assert np.shares_memory(operand, w.base)
+        storage = dec.gemms[0][0].base
+        packed_bytes += storage.nbytes
+        assert len(dec.gemms) == len(step.taps)
+        for (operand, _, _), row in zip(dec.gemms, step.taps):
+            assert operand.base is storage
             expect = full[:, :, :, [tap for _, tap in row]].transpose(2, 0, 3, 1)
-            assert np.array_equal(operand, expect.reshape(kf * O, n * C))
+            assert np.array_equal(operand, expect.reshape(kf * O, len(row) * C))
+    decoder_bytes = sum(weights[f"dec{j}.weight"].nbytes for j in range(1, cfg.depth + 1))
+    assert packed_bytes == decoder_bytes
+
+
+def _steady_rt_state():
+    cfg = config_for_preset(PRESETS["rt"])
+    state = StreamState(cfg, random_weights(cfg, 5))
+    rng = np.random.default_rng(6)
+    frames = rng.standard_normal((cfg.in_frames + 75, 5, cfg.in_bins)).astype(np.float32)
+    for frame in frames[: cfg.in_frames]:
+        stream_push(frame, state)
+    return state, frames[cfg.in_frames :]
+
+
+def test_steady_push_allocates_little_beyond_its_head():
+    # a push runs on buffers built with the state: its traced peak stays
+    # within 4 head frames, numpy's ufunc iterator buffers included; with
+    # those buffers capped at 16 elements, the head frame is all that is left
+    state, frames = _steady_rt_state()
+
+    def peaks(frames):
+        for frame in frames:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            head = stream_push(frame, state)
+            yield tracemalloc.get_traced_memory()[1] - before, head.nbytes
+
+    bufsize = np.getbufsize()
+    tracemalloc.start()
+    try:
+        for peak, head in peaks(frames[:50]):
+            assert peak <= 4 * head, (peak, head)
+        np.setbufsize(16)
+        for peak, head in peaks(frames[50:]):
+            assert peak <= head + 4096, (peak, head)
+    finally:
+        np.setbufsize(bufsize)
+        tracemalloc.stop()
+
+
+def test_returned_heads_are_distinct_and_stay_unchanged():
+    state, frames = _steady_rt_state()
+    heads, copies = [], []
+    for frame in frames[:10]:
+        heads.append(stream_push(frame, state))
+        copies.append(heads[-1].copy())
+    assert len({id(h) for h in heads}) == len(heads)
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(heads) for b in heads[i + 1 :])
+    for head, copy in zip(heads, copies):
+        assert np.array_equal(head, copy)
 
 
 def _assert_reads_fit_minimal_queues(cfg, plan):

@@ -52,6 +52,12 @@ def test_config_validation_errors():
         ConvSpec(kernel_f=5.0, kernel_t=3, stride_f=2, stride_t=1, out_ch=16)
     with pytest.raises(ValueError, match="'out_ch'"):
         ConvSpec(5, 3, 2, 1, None)
+    # numpy integers and a huge int are integers; bools, floats and nan are not
+    for value in (np.int64(3), 10**400):
+        assert ConvSpec(5, 3, 2, 1, value).out_ch == value
+    for value in (True, np.float32(0.5), float("nan"), 3.0):
+        with pytest.raises(ValueError, match="'out_ch'"):
+            ConvSpec(5, 3, 2, 1, value)
 
 
 @pytest.mark.parametrize("spec,decoder_channels,match", [
