@@ -149,7 +149,7 @@ class StreamingEnhancer:
             logits_d, logits_n = split_head(grid)
             field_d = assemble_masks(logits_d)
             field_n = assemble_masks(logits_n)
-            ys = quadrangle_decompose(ComplexSpectrogram(pending[: r1 - r0], n_trim),
+            ys = quadrangle_decompose(ComplexSpectrogram(pending[: r1 - r0]),
                                       field_d, field_n)
             parts = [spectral.istft(spectral.restore_low_bins(y, n_trim), stft_cfg,
                                     carry=ola).samples for y, ola in zip(ys, self._ola)]

@@ -16,29 +16,24 @@ import numpy as np
 from .types import SignalBuffer, as_samples, check_fields
 
 DEFAULT_SEGMENTS = (4064, 2032, 1016, 508)
+PREEMPH_ALPHA = 0.97
+MU = 65535.0
+# Stabilizer added to each norm. Small enough that the perfect-prediction
+# values hit their nominal -1/-4/-12/-72 within 1e-8 even for mu-law
+# companded segments (whose norms are capped at sqrt(segment_length)).
+EPS_NORM = 1e-11
 
 
 @dataclass(frozen=True)
 class LossConfig:
     segment_lengths: tuple = DEFAULT_SEGMENTS
-    preemph_alpha: float = 0.97
-    mu: float = 65535.0
-    # Stabilizer added to each norm. Small enough that the perfect-prediction
-    # values hit their nominal -1/-4/-12/-72 within 1e-8 even for mu-law
-    # companded segments (whose norms are capped at sqrt(segment_length)).
-    eps_norm: float = 1e-11
 
     def __post_init__(self):
         check_fields(self, int, "segment_lengths", arity=-1)
-        check_fields(self, float, "preemph_alpha", "mu", "eps_norm")
         if not self.segment_lengths:
             raise ValueError("need at least one segment length")
         if any(g <= 0 for g in self.segment_lengths):
             raise ValueError("segment lengths must be positive")
-        if not (0.0 <= self.preemph_alpha < 1.0):
-            raise ValueError("preemph_alpha must be in [0, 1)")
-        if self.mu <= 0 or self.eps_norm <= 0:
-            raise ValueError("mu and eps_norm must be positive")
 
 
 def _pair(y, yhat):
@@ -49,7 +44,7 @@ def _pair(y, yhat):
     return a, b
 
 
-def cos_sim_loss(y, yhat, eps_norm: float = 1e-11) -> float:
+def cos_sim_loss(y, yhat, eps_norm: float = EPS_NORM) -> float:
     """Negative cosine similarity, -<y, yhat> / ((|y|+eps) (|yhat|+eps))."""
     a, b = _pair(y, yhat)
     if len(a) < 1:
@@ -77,15 +72,15 @@ def multiscale_loss(y, yhat, cfg: LossConfig = LossConfig()) -> float:
         ya = a[: m * g].reshape(m, g)
         yb = b[: m * g].reshape(m, g)
         dots = np.einsum("ij,ij->i", ya, yb)
-        na = np.linalg.norm(ya, axis=1) + cfg.eps_norm
-        nb = np.linalg.norm(yb, axis=1) + cfg.eps_norm
+        na = np.linalg.norm(ya, axis=1) + EPS_NORM
+        nb = np.linalg.norm(yb, axis=1) + EPS_NORM
         total += float(np.mean(-dots / (na * nb)))
     if not any_scale:
         raise ValueError("no full segment at any scale")
     return total
 
 
-def pre_emphasis(y, alpha: float = 0.97) -> SignalBuffer:
+def pre_emphasis(y, alpha: float = PREEMPH_ALPHA) -> SignalBuffer:
     """First-difference high-frequency emphasis: out[t] = y[t] - alpha*y[t-1]."""
     x = as_samples(y)
     out = x.copy()
@@ -94,14 +89,14 @@ def pre_emphasis(y, alpha: float = 0.97) -> SignalBuffer:
     return SignalBuffer(samples=out)
 
 
-def _pre_emphasis_adjoint(g: np.ndarray, alpha: float) -> np.ndarray:
+def _pre_emphasis_adjoint(g: np.ndarray) -> np.ndarray:
     out = g.copy()
     if len(g) > 1:
-        out[:-1] = g[:-1] - alpha * g[1:]
+        out[:-1] = g[:-1] - PREEMPH_ALPHA * g[1:]
     return out
 
 
-def mu_law(y, mu: float = 65535.0) -> SignalBuffer:
+def mu_law(y, mu: float = MU) -> SignalBuffer:
     """Continuous mu-law companding, sign(y) ln(1 + mu|y|) / ln(1 + mu).
 
     Inputs are clamped to [-1, 1] first; no quantization.
@@ -110,20 +105,20 @@ def mu_law(y, mu: float = 65535.0) -> SignalBuffer:
     return SignalBuffer(samples=np.sign(x) * np.log1p(mu * np.abs(x)) / np.log1p(mu))
 
 
-def _mu_law_grad(u: np.ndarray, mu: float) -> np.ndarray:
+def _mu_law_grad(u: np.ndarray) -> np.ndarray:
     # derivative of mu_law at u; zero beyond the clamp range
-    g = mu / (np.log1p(mu) * (1.0 + mu * np.abs(np.clip(u, -1.0, 1.0))))
+    g = MU / (np.log1p(MU) * (1.0 + MU * np.abs(np.clip(u, -1.0, 1.0))))
     return np.where(np.abs(u) > 1.0, 0.0, g)
 
 
 def emphasized_loss(y, yhat, cfg: LossConfig = LossConfig()) -> float:
     """Multi-scale loss on raw, pre-emphasized, and companded pre-emphasized pairs."""
     a, b = _pair(y, yhat)
-    pa = pre_emphasis(a, cfg.preemph_alpha).samples
-    pb = pre_emphasis(b, cfg.preemph_alpha).samples
+    pa = pre_emphasis(a).samples
+    pb = pre_emphasis(b).samples
     return (multiscale_loss(a, b, cfg)
             + multiscale_loss(pa, pb, cfg)
-            + multiscale_loss(mu_law(pa, cfg.mu).samples, mu_law(pb, cfg.mu).samples, cfg))
+            + multiscale_loss(mu_law(pa).samples, mu_law(pb).samples, cfg))
 
 
 def final_loss(components: dict, mixture, cfg: LossConfig = LossConfig()) -> float:
@@ -156,8 +151,8 @@ def _multiscale_grad(a: np.ndarray, b: np.ndarray, cfg: LossConfig) -> np.ndarra
         yb = b[: m * g].reshape(m, g)
         dots = np.einsum("ij,ij->i", ya, yb)
         nb_raw = np.linalg.norm(yb, axis=1)
-        na = np.linalg.norm(ya, axis=1) + cfg.eps_norm
-        nb = nb_raw + cfg.eps_norm
+        na = np.linalg.norm(ya, axis=1) + EPS_NORM
+        nb = nb_raw + EPS_NORM
         # dC/dyb = -ya/(na*nb) + dot * (yb/nb_raw) / (na*nb^2)
         unit_b = np.where(nb_raw[:, None] > 0.0, yb / np.maximum(nb_raw, 1e-300)[:, None], 0.0)
         seg_grad = (-ya / (na * nb)[:, None]
@@ -169,13 +164,13 @@ def _multiscale_grad(a: np.ndarray, b: np.ndarray, cfg: LossConfig) -> np.ndarra
 def loss_gradient(y, yhat, cfg: LossConfig = LossConfig()) -> np.ndarray:
     """Analytic gradient of emphasized_loss with respect to the estimate."""
     a, b = _pair(y, yhat)
-    pa = pre_emphasis(a, cfg.preemph_alpha).samples
-    pb = pre_emphasis(b, cfg.preemph_alpha).samples
-    ma = mu_law(pa, cfg.mu).samples
-    mb = mu_law(pb, cfg.mu).samples
+    pa = pre_emphasis(a).samples
+    pb = pre_emphasis(b).samples
+    ma = mu_law(pa).samples
+    mb = mu_law(pb).samples
 
     grad = _multiscale_grad(a, b, cfg)
-    grad += _pre_emphasis_adjoint(_multiscale_grad(pa, pb, cfg), cfg.preemph_alpha)
-    g_mu = _multiscale_grad(ma, mb, cfg) * _mu_law_grad(pb, cfg.mu)
-    grad += _pre_emphasis_adjoint(g_mu, cfg.preemph_alpha)
+    grad += _pre_emphasis_adjoint(_multiscale_grad(pa, pb, cfg))
+    g_mu = _multiscale_grad(ma, mb, cfg) * _mu_law_grad(pb)
+    grad += _pre_emphasis_adjoint(g_mu)
     return grad

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, logit
 
-from .types import ComplexSpectrogram, as_samples, SignalBuffer
+from .types import ComplexSpectrogram, SignalBuffer, as_samples, bins_of
 
 EPS_DEG = 1e-8   # degenerate triangle side threshold
 EPS_CLIP = 1e-8  # |2*sigma - 1| below this: clip bound -> inf, skip the clip
@@ -129,19 +129,13 @@ def assemble_masks(logits: MaskLogits) -> PhmMaskField:
                         mask_notk=mag_notk * (cos_dnotk - 1j * xi * sin_dnotk))
 
 
-def _bins_of(X):
-    return X.bins if isinstance(X, ComplexSpectrogram) else np.asarray(X)
-
-
 def _like(X, bins):
-    if isinstance(X, ComplexSpectrogram):
-        return ComplexSpectrogram(bins=bins, bin_offset=X.bin_offset)
-    return bins
+    return ComplexSpectrogram(bins) if isinstance(X, ComplexSpectrogram) else bins
 
 
 def apply_mask(X, field: PhmMaskField):
     """Split X into (Y_k, Y_notk) = (mask_k * X, mask_notk * X)."""
-    bins = _bins_of(X)
+    bins = bins_of(X)
     if bins.shape != field.mask_k.shape:
         raise ValueError(
             f"shape mismatch: spectrogram {bins.shape} vs mask {field.mask_k.shape}"
@@ -156,7 +150,7 @@ def quadrangle_decompose(X, field_d: PhmMaskField, field_n: PhmMaskField):
     reverberation is whatever remains, X - Y_d - Y_n, so the three
     parts always sum back to X.
     """
-    bins = _bins_of(X)
+    bins = bins_of(X)
     if bins.shape != field_d.mask_k.shape or bins.shape != field_n.mask_k.shape:
         raise ValueError("shape mismatch between spectrogram and mask fields")
     y_d = field_d.mask_k * bins
@@ -174,8 +168,8 @@ def oracle_fit(X, Y_target) -> MaskLogits:
     |a - b| <= 1, so the beta clip never truncates a feasible target.
     Bins with |X| <= EPS_DEG get pass-through defaults (mask_k == 1).
     """
-    Xb = _bins_of(X)
-    Yb = _bins_of(Y_target)
+    Xb = bins_of(X)
+    Yb = bins_of(Y_target)
     if Xb.shape != Yb.shape:
         raise ValueError("shape mismatch between mixture and target")
 

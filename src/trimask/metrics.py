@@ -8,21 +8,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .types import ComplexSpectrogram, as_samples
+from .types import as_samples, bins_of
 
 SI_SDR_CAP_DB = 200.0
-
-
-def _bins(A):
-    return A.bins if isinstance(A, ComplexSpectrogram) else np.asarray(A)
 
 
 def phase_distance(A, B) -> float:
     """Magnitude-weighted mean angle between two complex spectrograms, in
     degrees [0, 180]. Weights are |A| normalized over the whole grid; bins
     where B is zero contribute angle 0."""
-    a = _bins(A)
-    b = _bins(B)
+    a = bins_of(A)
+    b = bins_of(B)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     mag = np.abs(a)

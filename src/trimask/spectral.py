@@ -68,7 +68,7 @@ def stft(signal, cfg: StftConfig) -> ComplexSpectrogram:
     frames = np.lib.stride_tricks.sliding_window_view(x, cfg.window_size)[:: cfg.hop_size]
     frames = frames * _analysis_window(cfg)
     bins = np.fft.rfft(frames, axis=1)
-    return ComplexSpectrogram(bins=bins, bin_offset=0)
+    return ComplexSpectrogram(bins=bins)
 
 
 class OverlapAdd:
@@ -110,8 +110,11 @@ def istft(spec: ComplexSpectrogram, cfg: StftConfig, length: int | None = None,
     frames in the same order as one whole-signal call, so the two agree bit
     for bit. Without ``carry`` the call is one whole stream: a fresh
     :class:`OverlapAdd` ended by its ``finish()``, then cut or zero-padded
-    to ``length`` if one is given.
+    to ``length`` if one is given. ``length`` with ``carry`` is a
+    ValueError, since a streamed call returns only its finished samples.
     """
+    if length is not None and carry is not None:
+        raise ValueError("length applies to a whole-signal call, not to one with carry")
     if spec.bin_count != cfg.bin_count:
         raise ValueError(
             f"shape mismatch: spectrogram has {spec.bin_count} bins, "
@@ -145,20 +148,13 @@ def trim_low_bins(spec: ComplexSpectrogram, n: int) -> ComplexSpectrogram:
     """Discard the ``n`` lowest frequency bins (e.g. 257 -> 253 for n=4)."""
     if n >= spec.bin_count:
         raise ValueError(f"cannot trim {n} bins from a {spec.bin_count}-bin spectrogram")
-    if n == 0:
-        return ComplexSpectrogram(bins=spec.bins.copy(), bin_offset=spec.bin_offset)
-    return ComplexSpectrogram(bins=spec.bins[:, n:].copy(), bin_offset=spec.bin_offset + n)
+    return ComplexSpectrogram(bins=spec.bins[:, n:].copy())
 
 
 def restore_low_bins(spec: ComplexSpectrogram, n: int) -> ComplexSpectrogram:
     """Zero-fill ``n`` low bins, undoing the shape change of trim_low_bins."""
-    if n == 0:
-        return ComplexSpectrogram(bins=spec.bins.copy(), bin_offset=spec.bin_offset)
     pad = np.zeros((spec.frame_count, n), dtype=spec.bins.dtype)
-    return ComplexSpectrogram(
-        bins=np.concatenate([pad, spec.bins], axis=1),
-        bin_offset=max(spec.bin_offset - n, 0),
-    )
+    return ComplexSpectrogram(bins=np.concatenate([pad, spec.bins], axis=1))
 
 
 def _wrap_phase(x: np.ndarray) -> np.ndarray:
@@ -169,6 +165,10 @@ def _wrap_phase(x: np.ndarray) -> np.ndarray:
 def extract_features(spec: ComplexSpectrogram, cfg: StftConfig, first_frame: int = 0,
                      prev_phase: np.ndarray | None = None) -> FeatureStack:
     """Build the 5-channel input feature stack from a (trimmed) spectrogram.
+
+    Trimming drops only the lowest bins, so bin ``f`` of an ``n``-bin grid
+    is physical bin ``cfg.bin_count - n + f``; a grid wider than the STFT's
+    ``cfg.bin_count`` bins is a ValueError.
 
     ch0: log(|X| + eps); ch1/ch2: cos/sin of the demodulated phase, where
     demodulation removes the expected per-frame advance
@@ -182,13 +182,16 @@ def extract_features(spec: ComplexSpectrogram, cfg: StftConfig, first_frame: int
     the frame before it (``prev_phase``, for ch4's first row); the features
     then equal those rows of a whole-signal call.
     """
+    n_frames, n_bins = spec.bins.shape
+    if n_bins > cfg.bin_count:
+        raise ValueError(f"spectrogram has {n_bins} bins, more than the {cfg.bin_count} "
+                         f"of its STFT")
     mag = np.abs(spec.bins)
     phase = np.angle(spec.bins)
-    n_frames, n_bins = spec.bins.shape
 
     ch0 = np.log(mag + EPS_MAG)
 
-    f_phys = np.arange(n_bins) + spec.bin_offset
+    f_phys = np.arange(cfg.bin_count - n_bins, cfg.bin_count)
     t_idx = np.arange(first_frame, first_frame + n_frames)
     ramp = 2.0 * np.pi * cfg.hop_size / cfg.window_size * np.outer(t_idx, f_phys)
     demod = _wrap_phase(phase - ramp)

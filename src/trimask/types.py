@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import math
-import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 SAMPLE_RATE = 16000
 FEATURE_CHANNELS = 5  # channels of a FeatureStack and of the U-Net input
+_FLOAT_MAX = sys.float_info.max
 
 
 def as_samples(signal) -> np.ndarray:
@@ -26,9 +27,10 @@ def as_samples(signal) -> np.ndarray:
 
 def check_fields(config, kind: type, *names: str, arity: int | None = None) -> None:
     """Reject, with a ValueError naming the field, a config whose named
-    fields are not each of `kind`: for int an integer that is not a bool,
-    for float a finite real number. With `arity`, each field is instead a
-    tuple of `arity` such values (-1: of any number of them)."""
+    fields are not each of `kind`: for int a built-in or numpy integer that
+    is not a bool, for float such an integer or a built-in or numpy float,
+    finite as a float. With `arity`, each field is instead a tuple of
+    `arity` such values (-1: of any number of them)."""
     for name in names:
         value = getattr(config, name)
         ok = (_is_a(value, kind) if arity is None else isinstance(value, tuple)
@@ -42,15 +44,10 @@ def check_fields(config, kind: type, *names: str, arity: int | None = None) -> N
 
 
 def _is_a(value, kind: type) -> bool:
-    # exact built-in types first: the numbers ABC checks below are slow
-    if type(value) is int:
-        return True
-    if type(value) is float:
-        return kind is float and math.isfinite(value)
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        return False
-    # an int is finite, even one too large for np.isfinite
-    return isinstance(value, numbers.Integral) or (kind is float and bool(np.isfinite(value)))
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        # finite, and for a float field finite as a float: math.isfinite(10**400) raises
+        return kind is int or bool(-_FLOAT_MAX <= value <= _FLOAT_MAX)
+    return kind is float and isinstance(value, (float, np.floating)) and math.isfinite(value)
 
 
 @dataclass
@@ -64,11 +61,7 @@ class SignalBuffer:
     samples: np.ndarray
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
-        if self.samples.ndim != 1:
-            raise ValueError(f"signal must be 1-D, got shape {self.samples.shape}")
-        if not np.all(np.isfinite(self.samples)):
-            raise ValueError("signal contains non-finite values")
+        self.samples = as_samples(self.samples)
 
     def __len__(self) -> int:
         return self.samples.shape[0]
@@ -78,13 +71,12 @@ class SignalBuffer:
 class ComplexSpectrogram:
     """Time-frequency grid of complex values, indexed (t, f).
 
-    ``bin_offset`` records how many low-frequency bins have been discarded,
-    so bin ``f`` of this grid corresponds to physical FFT bin
-    ``f + bin_offset``.
+    A trimmed grid lacks only its lowest bins, so against an STFT of
+    ``bin_count`` bins, bin ``f`` of a ``width``-bin grid is physical FFT
+    bin ``bin_count - width + f``.
     """
 
     bins: np.ndarray
-    bin_offset: int = 0
 
     def __post_init__(self):
         self.bins = np.asarray(self.bins)
@@ -100,6 +92,11 @@ class ComplexSpectrogram:
     @property
     def bin_count(self) -> int:
         return self.bins.shape[1]
+
+
+def bins_of(spec) -> np.ndarray:
+    """The complex grid of a ComplexSpectrogram, or an array-like as an array."""
+    return spec.bins if isinstance(spec, ComplexSpectrogram) else np.asarray(spec)
 
 
 @dataclass

@@ -186,7 +186,6 @@ class WeightSet:
     """Named filter/bias tensors for one UNetConfig."""
 
     tensors: dict
-    provenance: str = "unspecified"
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.tensors[name]
@@ -196,8 +195,7 @@ class WeightSet:
         return next(iter(self.tensors.values())).dtype
 
     def astype(self, dtype) -> "WeightSet":
-        return WeightSet({k: v.astype(dtype) for k, v in self.tensors.items()},
-                         provenance=self.provenance)
+        return WeightSet({k: v.astype(dtype) for k, v in self.tensors.items()})
 
 
 def _weight_shapes(cfg: UNetConfig):
@@ -217,7 +215,7 @@ def random_weights(cfg: UNetConfig, seed: int, dtype=np.float32) -> WeightSet:
     tensors = {}
     for name, shape in _weight_shapes(cfg).items():
         tensors[name] = rng.uniform(-0.1, 0.1, size=shape).astype(dtype)
-    return WeightSet(tensors, provenance=f"seed:{seed}")
+    return WeightSet(tensors)
 
 
 def validate_weights(cfg: UNetConfig, weights: WeightSet) -> None:
@@ -288,7 +286,7 @@ def load_weights(path, cfg: UNetConfig | None = None) -> WeightSet:
         raise ValueError(f"{end - off} trailing bytes in weight file {path}")
     if version == 2 and struct.unpack("<I", data[end:])[0] != zlib.crc32(memoryview(data)[:end]):
         raise ValueError(f"checksum mismatch in weight file {path}")
-    ws = WeightSet(tensors, provenance=f"file:{path}")
+    ws = WeightSet(tensors)
     if cfg is not None:
         validate_weights(cfg, ws)
     return ws

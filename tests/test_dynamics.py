@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -74,12 +75,13 @@ def test_drc_config_validation():
         DrcConfig(ratio=0.5)
     with pytest.raises(ValueError):
         DrcConfig(attack_ms=0.0)
+    # an int too large for a float and a Fraction are not finite floats
     for name in ("threshold_db", "ratio", "attack_ms", "release_ms", "makeup_db"):
-        for value in (math.nan, math.inf, -math.inf, "3", True, None):
+        for value in (math.nan, math.inf, -math.inf, "3", True, None, 10**400, Fraction(1, 3)):
             with pytest.raises(ValueError, match=name):
                 DrcConfig(**{name: value})
-    # numpy scalars are numbers like the built-ins, and a huge int is finite
-    for value in (np.int64(3), np.float32(0.5), 10**400):
+    # numpy scalars are numbers like the built-ins
+    for value in (np.int64(3), np.float32(0.5)):
         assert DrcConfig(threshold_db=value).threshold_db == value
     for value in (np.float32("nan"), np.bool_(True)):
         with pytest.raises(ValueError, match="threshold_db"):

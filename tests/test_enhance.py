@@ -41,7 +41,7 @@ def _pass_through_weights(cfg):
     tensors["head.bias"] = np.array(
         [LOGIT_CLAMP, -LOGIT_CLAMP, -LOGIT_CLAMP, 0.0, 1.0,
          -LOGIT_CLAMP, LOGIT_CLAMP, -LOGIT_CLAMP, 0.0, 1.0])
-    return WeightSet(tensors, provenance="pass-through")
+    return WeightSet(tensors)
 
 
 @pytest.fixture(scope="module")

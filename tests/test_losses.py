@@ -5,6 +5,7 @@ import pytest
 
 from trimask import (LossConfig, cos_sim_loss, emphasized_loss, final_loss,
                      loss_gradient, mu_law, multiscale_loss, pre_emphasis)
+from trimask.losses import EPS_NORM, MU, PREEMPH_ALPHA
 
 
 def _brute_multiscale(y, yhat, cfg):
@@ -18,8 +19,8 @@ def _brute_multiscale(y, yhat, cfg):
         for i in range(m):
             a = y[g * i : g * (i + 1)]
             b = yhat[g * i : g * (i + 1)]
-            acc += -float(np.dot(a, b)) / ((np.linalg.norm(a) + cfg.eps_norm)
-                                           * (np.linalg.norm(b) + cfg.eps_norm))
+            acc += -float(np.dot(a, b)) / ((np.linalg.norm(a) + EPS_NORM)
+                                           * (np.linalg.norm(b) + EPS_NORM))
         total += acc / m
     return total
 
@@ -109,12 +110,12 @@ def test_emphasized_matches_composition_oracle():
 
     def pi(u):
         out = u.copy()
-        out[1:] = u[1:] - cfg.preemph_alpha * u[:-1]
+        out[1:] = u[1:] - PREEMPH_ALPHA * u[:-1]
         return out
 
     def mu(u):
         u = np.clip(u, -1, 1)
-        return np.sign(u) * np.log1p(cfg.mu * np.abs(u)) / np.log1p(cfg.mu)
+        return np.sign(u) * np.log1p(MU * np.abs(u)) / np.log1p(MU)
 
     oracle = (_brute_multiscale(y, yhat, cfg)
               + _brute_multiscale(pi(y), pi(yhat), cfg)
@@ -249,14 +250,6 @@ def test_emphasis_stages_are_odd():
 def test_loss_config_validation():
     with pytest.raises(ValueError):
         LossConfig(segment_lengths=())
-    with pytest.raises(ValueError):
-        LossConfig(preemph_alpha=1.0)
-    with pytest.raises(ValueError):
-        LossConfig(mu=-1.0)
-    for name in ("preemph_alpha", "mu", "eps_norm"):
-        for value in (math.nan, math.inf, "0.5", None):
-            with pytest.raises(ValueError, match=name):
-                LossConfig(**{name: value})
     for value in ((2.5,), (4064, 508.0), 4064, (True,)):
         with pytest.raises(ValueError, match="segment_lengths"):
             LossConfig(segment_lengths=value)

@@ -84,6 +84,10 @@ def test_istft_shape_mismatch_errors():
     spec = trim_low_bins(stft(np.zeros(2048), RT_PRESET), 4)
     with pytest.raises(ValueError, match="shape mismatch"):
         istft(spec, RT_PRESET)
+    # a streamed call returns only its finished samples, so a length is an error
+    with pytest.raises(ValueError, match="length"):
+        istft(stft(np.zeros(2048), RT_PRESET), RT_PRESET, length=100,
+              carry=OverlapAdd(RT_PRESET))
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -121,10 +125,10 @@ def test_trim_low_bins():
     spec = stft(np.random.default_rng(0).standard_normal(2048), RT_PRESET)
     trimmed = trim_low_bins(spec, 4)
     assert trimmed.bin_count == 253
-    assert trimmed.bin_offset == 4
     assert np.array_equal(trimmed.bins, spec.bins[:, 4:])
     same = trim_low_bins(spec, 0)
     assert np.array_equal(same.bins, spec.bins)
+    assert not np.shares_memory(same.bins, spec.bins)
     with pytest.raises(ValueError):
         trim_low_bins(spec, 257)
 
@@ -135,7 +139,9 @@ def test_restore_low_bins_round_trip():
     assert back.bin_count == 257
     assert np.all(back.bins[:, :4] == 0)
     assert np.array_equal(back.bins[:, 4:], spec.bins[:, 4:])
-    assert np.array_equal(restore_low_bins(spec, 0).bins, spec.bins)
+    same = restore_low_bins(spec, 0)
+    assert np.array_equal(same.bins, spec.bins)
+    assert not np.shares_memory(same.bins, spec.bins)
 
 
 def test_trim_restore_is_projection():
@@ -156,9 +162,7 @@ def test_stft_linearity():
 
 
 def test_features_unit_magnitude_log_channel():
-    from trimask.types import ComplexSpectrogram
-
-    spec = ComplexSpectrogram(bins=np.ones((4, 253), dtype=complex), bin_offset=4)
+    spec = ComplexSpectrogram(bins=np.ones((4, 253), dtype=complex))
     feats = extract_features(spec, RT_PRESET)
     assert np.allclose(feats.channels[0], np.log(1 + EPS_MAG))
 
@@ -184,9 +188,7 @@ def test_features_demodulation_constant_for_tone(bin_idx):
 
 
 def test_features_zero_spectrogram_conventions():
-    from trimask.types import ComplexSpectrogram
-
-    spec = ComplexSpectrogram(bins=np.zeros((6, 253), dtype=complex), bin_offset=4)
+    spec = ComplexSpectrogram(bins=np.zeros((6, 253), dtype=complex))
     feats = extract_features(spec, RT_PRESET)
     ch = feats.channels
     assert np.allclose(ch[0], np.log(EPS_MAG))
@@ -194,6 +196,25 @@ def test_features_zero_spectrogram_conventions():
     assert np.all(ch[2] == 0.0)
     assert np.all(ch[3] == 0.0)
     assert np.all(ch[4] == 0.0)
+
+
+def test_features_derive_physical_bins_from_the_width():
+    # trimming twice drops the same low bins as trimming once
+    spec = stft(np.random.default_rng(10).standard_normal(4096), RT_PRESET)
+    twice = extract_features(trim_low_bins(trim_low_bins(spec, 1), 3), RT_PRESET)
+    once = extract_features(trim_low_bins(spec, 4), RT_PRESET)
+    assert np.array_equal(twice.channels, once.channels)
+    # a trimmed grid's features are the untrimmed ones' columns; rt's
+    # demodulation repeats every 4 bins, so only n = 1..3 see the offset
+    full = extract_features(spec, RT_PRESET).channels
+    for n in (1, 2, 3):
+        part = extract_features(trim_low_bins(spec, n), RT_PRESET).channels
+        # the group delay's first column has no lower neighbour left
+        assert np.allclose(part[[0, 1, 2, 4]], full[[0, 1, 2, 4], :, n:], rtol=0, atol=1e-12)
+        assert np.allclose(part[3, :, 1:], full[3, :, n + 1:], rtol=0, atol=1e-12)
+    wide = ComplexSpectrogram(bins=np.ones((4, RT_PRESET.bin_count + 1), dtype=complex))
+    with pytest.raises(ValueError, match="258 bins"):
+        extract_features(wide, RT_PRESET)
 
 
 def test_features_shapes_and_unit_circle():

@@ -333,7 +333,7 @@ def test_stream_matches_naive_and_counts_on_random_architectures(cfg, seed):
         assert stream_m[layer.name] == layer.streaming_mults, layer.name
 
 
-def test_long_stream_ring_wraparound():
+def test_long_stream_exact_after_many_queue_shifts():
     # emissions stay exact long after every queue has shifted through many times
     cfg = _mirrored_config([2, 2], [3, 3], 1)
     w = random_weights(cfg, 3, dtype=np.float64)

@@ -294,7 +294,6 @@ def test_weights_save_load_round_trip(tmp_path):
     assert set(back.tensors) == set(w.tensors)
     for name in w.tensors:
         assert np.array_equal(back.tensors[name], w.tensors[name])
-    assert back.provenance.startswith("file:")
 
 
 def test_weights_truncated_file(tmp_path):
