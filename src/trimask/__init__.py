@@ -15,8 +15,8 @@ from .wavio import read_wav, write_wav
 from .masking import (MaskLogits, PhmMaskField, apply_mask, assemble_masks,
                       gumbel_sign, magnitude_masks, oracle_fit, phase_factors,
                       quadrangle_decompose, remix)
-from .losses import (LossConfig, cos_sim_loss, emphasized_loss, final_loss,
-                     loss_gradient, mu_law, multiscale_loss, pre_emphasis)
+from .losses import (cos_sim_loss, emphasized_loss, final_loss, loss_gradient, mu_law,
+                     multiscale_loss, pre_emphasis)
 from .unet import (ConvSpec, UNetConfig, WeightSet, config_for_preset,
                    config_from_json_dict, config_to_json_dict, default_config,
                    fuse_batchnorm, load_weights, naive_infer, random_weights,

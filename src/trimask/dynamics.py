@@ -64,9 +64,6 @@ def compress(signal, cfg: DrcConfig = DrcConfig(), state: DrcState | None = None
     the state advances past it.
     """
     x = as_samples(signal)
-    makeup = 10.0 ** (cfg.makeup_db / 20.0)
-    if cfg.ratio == 1.0:
-        return SignalBuffer(samples=x * makeup)
     if state is None:
         state = DrcState()
 

@@ -198,6 +198,8 @@ def enhance(signal, weights: WeightSet, cfg: UNetConfig, stft_cfg: StftConfig,
     """
     x = as_samples(signal)
     engine = StreamingEnhancer(weights, cfg, stft_cfg, mode, reverb_gain_db, drc)
+    # before any audio: a network the stream plan cannot schedule fails here
+    op_report = count_ops(cfg)
     # the last block ends the stream in the same call, so that its frames
     # awaiting heads share its mask stage
     blocks = np.split(x, range(_BLOCK_FRAMES * stft_cfg.hop_size, len(x),
@@ -211,7 +213,7 @@ def enhance(signal, weights: WeightSet, cfg: UNetConfig, stft_cfg: StftConfig,
         out[:, pos : pos + len(part.direct)] = part
         pos += len(part.direct)
     return EnhanceResult(*(SignalBuffer(samples=row) for row in out),
-                         op_report=count_ops(cfg),
+                         op_report=op_report,
                          frames_total=engine.frames_total,
                          frames_emitted=engine.frames_emitted)
 

@@ -9,31 +9,17 @@ the three components and their mixture complements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .types import SignalBuffer, as_samples, check_fields
+from .types import SignalBuffer, as_samples
 
-DEFAULT_SEGMENTS = (4064, 2032, 1016, 508)
+SEGMENT_LENGTHS = (4064, 2032, 1016, 508)
 PREEMPH_ALPHA = 0.97
 MU = 65535.0
 # Stabilizer added to each norm. Small enough that the perfect-prediction
 # values hit their nominal -1/-4/-12/-72 within 1e-8 even for mu-law
 # companded segments (whose norms are capped at sqrt(segment_length)).
 EPS_NORM = 1e-11
-
-
-@dataclass(frozen=True)
-class LossConfig:
-    segment_lengths: tuple = DEFAULT_SEGMENTS
-
-    def __post_init__(self):
-        check_fields(self, int, "segment_lengths", arity=-1)
-        if not self.segment_lengths:
-            raise ValueError("need at least one segment length")
-        if any(g <= 0 for g in self.segment_lengths):
-            raise ValueError("segment lengths must be positive")
 
 
 def _pair(y, yhat):
@@ -44,16 +30,16 @@ def _pair(y, yhat):
     return a, b
 
 
-def cos_sim_loss(y, yhat, eps_norm: float = EPS_NORM) -> float:
+def cos_sim_loss(y, yhat) -> float:
     """Negative cosine similarity, -<y, yhat> / ((|y|+eps) (|yhat|+eps))."""
     a, b = _pair(y, yhat)
     if len(a) < 1:
         raise ValueError("signals must be non-empty")
-    return float(-np.dot(a, b) / ((np.linalg.norm(a) + eps_norm)
-                                  * (np.linalg.norm(b) + eps_norm)))
+    return float(-np.dot(a, b) / ((np.linalg.norm(a) + EPS_NORM)
+                                  * (np.linalg.norm(b) + EPS_NORM)))
 
 
-def multiscale_loss(y, yhat, cfg: LossConfig = LossConfig()) -> float:
+def multiscale_loss(y, yhat) -> float:
     """Sum over scales of the per-segment mean cosine-similarity loss.
 
     Each scale slices the signals into contiguous non-overlapping segments
@@ -64,7 +50,7 @@ def multiscale_loss(y, yhat, cfg: LossConfig = LossConfig()) -> float:
     a, b = _pair(y, yhat)
     total = 0.0
     any_scale = False
-    for g in cfg.segment_lengths:
+    for g in SEGMENT_LENGTHS:
         m = len(a) // g
         if m == 0:
             continue
@@ -80,12 +66,12 @@ def multiscale_loss(y, yhat, cfg: LossConfig = LossConfig()) -> float:
     return total
 
 
-def pre_emphasis(y, alpha: float = PREEMPH_ALPHA) -> SignalBuffer:
-    """First-difference high-frequency emphasis: out[t] = y[t] - alpha*y[t-1]."""
+def pre_emphasis(y) -> SignalBuffer:
+    """First-difference high-frequency emphasis: out[t] = y[t] - 0.97*y[t-1]."""
     x = as_samples(y)
     out = x.copy()
     if len(x) > 1:
-        out[1:] = x[1:] - alpha * x[:-1]
+        out[1:] = x[1:] - PREEMPH_ALPHA * x[:-1]
     return SignalBuffer(samples=out)
 
 
@@ -96,13 +82,13 @@ def _pre_emphasis_adjoint(g: np.ndarray) -> np.ndarray:
     return out
 
 
-def mu_law(y, mu: float = MU) -> SignalBuffer:
-    """Continuous mu-law companding, sign(y) ln(1 + mu|y|) / ln(1 + mu).
+def mu_law(y) -> SignalBuffer:
+    """Continuous mu-law companding, sign(y) ln(1 + mu|y|) / ln(1 + mu), mu = 65535.
 
     Inputs are clamped to [-1, 1] first; no quantization.
     """
     x = np.clip(as_samples(y), -1.0, 1.0)
-    return SignalBuffer(samples=np.sign(x) * np.log1p(mu * np.abs(x)) / np.log1p(mu))
+    return SignalBuffer(samples=np.sign(x) * np.log1p(MU * np.abs(x)) / np.log1p(MU))
 
 
 def _mu_law_grad(u: np.ndarray) -> np.ndarray:
@@ -111,17 +97,17 @@ def _mu_law_grad(u: np.ndarray) -> np.ndarray:
     return np.where(np.abs(u) > 1.0, 0.0, g)
 
 
-def emphasized_loss(y, yhat, cfg: LossConfig = LossConfig()) -> float:
+def emphasized_loss(y, yhat) -> float:
     """Multi-scale loss on raw, pre-emphasized, and companded pre-emphasized pairs."""
     a, b = _pair(y, yhat)
     pa = pre_emphasis(a).samples
     pb = pre_emphasis(b).samples
-    return (multiscale_loss(a, b, cfg)
-            + multiscale_loss(pa, pb, cfg)
-            + multiscale_loss(mu_law(pa).samples, mu_law(pb).samples, cfg))
+    return (multiscale_loss(a, b)
+            + multiscale_loss(pa, pb)
+            + multiscale_loss(mu_law(pa).samples, mu_law(pb).samples))
 
 
-def final_loss(components: dict, mixture, cfg: LossConfig = LossConfig()) -> float:
+def final_loss(components: dict, mixture) -> float:
     """Emphasized loss summed over every component and its mixture complement.
 
     ``components`` maps each of "d", "r", "n" to a (truth, estimate) pair;
@@ -135,15 +121,15 @@ def final_loss(components: dict, mixture, cfg: LossConfig = LossConfig()) -> flo
         y, yhat = _pair(*components[k])
         if len(y) != len(x):
             raise ValueError(f"component {k!r} length differs from mixture")
-        total += emphasized_loss(y, yhat, cfg)
-        total += emphasized_loss(x - y, x - yhat, cfg)
+        total += emphasized_loss(y, yhat)
+        total += emphasized_loss(x - y, x - yhat)
     return total
 
 
-def _multiscale_grad(a: np.ndarray, b: np.ndarray, cfg: LossConfig) -> np.ndarray:
+def _multiscale_grad(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """d multiscale_loss(a, b) / d b."""
     grad = np.zeros_like(b)
-    for g in cfg.segment_lengths:
+    for g in SEGMENT_LENGTHS:
         m = len(a) // g
         if m == 0:
             continue
@@ -161,7 +147,7 @@ def _multiscale_grad(a: np.ndarray, b: np.ndarray, cfg: LossConfig) -> np.ndarra
     return grad
 
 
-def loss_gradient(y, yhat, cfg: LossConfig = LossConfig()) -> np.ndarray:
+def loss_gradient(y, yhat) -> np.ndarray:
     """Analytic gradient of emphasized_loss with respect to the estimate."""
     a, b = _pair(y, yhat)
     pa = pre_emphasis(a).samples
@@ -169,8 +155,8 @@ def loss_gradient(y, yhat, cfg: LossConfig = LossConfig()) -> np.ndarray:
     ma = mu_law(pa).samples
     mb = mu_law(pb).samples
 
-    grad = _multiscale_grad(a, b, cfg)
-    grad += _pre_emphasis_adjoint(_multiscale_grad(pa, pb, cfg))
-    g_mu = _multiscale_grad(ma, mb, cfg) * _mu_law_grad(pb)
+    grad = _multiscale_grad(a, b)
+    grad += _pre_emphasis_adjoint(_multiscale_grad(pa, pb))
+    g_mu = _multiscale_grad(ma, mb) * _mu_law_grad(pb)
     grad += _pre_emphasis_adjoint(g_mu)
     return grad

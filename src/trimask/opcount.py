@@ -101,15 +101,16 @@ def count_ops(cfg: UNetConfig) -> OpCountReport:
     return OpCountReport(layers=layers)
 
 
-def measured_ops(cfg: UNetConfig, seed: int = 0):
+def measured_ops(cfg: UNetConfig):
     """Run both backends on random data and return their per-layer
     instrumented multiply tallies: (naive_counts, streaming_per_push).
 
     The streaming figure is a steady-state per-push delta, taken after the
-    first emission.
+    first emission. The tallies follow from the GEMM shapes alone, so the
+    data is drawn from a fixed seed.
     """
-    weights = random_weights(cfg, seed)
-    rng = np.random.default_rng(seed + 1)
+    weights = random_weights(cfg, 0)
+    rng = np.random.default_rng(1)
     frame = (FEATURE_CHANNELS, cfg.in_bins)
 
     naive_counts: dict = {}

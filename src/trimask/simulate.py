@@ -1,6 +1,6 @@
 """Desk-scale synthetic mixture generator with exact ground-truth components.
 
-Room responses are parametric: a delayed direct impulse plus a seeded
+Room responses are parametric: a delayed unit direct impulse plus a seeded
 Gaussian tail under an exponential decay reaching -60 dB at t60. The tail
 begins a fixed 2 ms (32 samples) after the direct arrival and the decay is
 measured from the direct arrival, so a vanishing t60 silences the tail
@@ -21,6 +21,7 @@ from .types import SAMPLE_RATE, SignalBuffer, as_samples, check_fields
 REFLECTION_GAP = 32          # samples between direct arrival and tail start
 DECAY_CONSTANT = math.log(1000.0)  # 60 dB amplitude decay over t60
 TAIL_GAIN = 0.25
+T60_RANGE = (0.1, 1.0)       # seconds, the span sample_scenario draws from
 
 
 @dataclass(frozen=True)
@@ -28,12 +29,11 @@ class RirParams:
     direct_delay: int = 16
     t60: float = 0.3
     tail_length: int = 4000
-    direct_gain: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
         check_fields(self, int, "direct_delay", "tail_length", "seed")
-        check_fields(self, float, "t60", "direct_gain")
+        check_fields(self, float, "t60")
         if self.t60 <= 0:
             raise ValueError("t60 must be > 0")
         if self.tail_length < 1:
@@ -63,7 +63,7 @@ def synth_rir(params: RirParams):
     """Split room response (h_direct, h_reflections) with disjoint supports."""
     length = params.direct_delay + REFLECTION_GAP + params.tail_length
     h_d = np.zeros(length)
-    h_d[params.direct_delay] = params.direct_gain
+    h_d[params.direct_delay] = 1.0
     h_r = np.zeros(length)
     rng = np.random.default_rng(params.seed)
     noise = rng.standard_normal(params.tail_length)
@@ -105,16 +105,13 @@ def mix(dry, h_d: np.ndarray, h_r: np.ndarray, noise, snr_db: float,
 @dataclass(frozen=True)
 class ScenarioRanges:
     snr_db: tuple = (-10.0, 30.0)
-    t60: tuple = (0.1, 1.0)
     segment_samples: int = 32000  # 2 s at 16 kHz
 
     def __post_init__(self):
-        check_fields(self, float, "snr_db", "t60", arity=2)
+        check_fields(self, float, "snr_db", arity=2)
         check_fields(self, int, "segment_samples")
-        if self.snr_db[0] >= self.snr_db[1] or self.t60[0] >= self.t60[1]:
-            raise ValueError("ranges must be (low, high) with low < high")
-        if self.t60[0] <= 0:
-            raise ValueError("t60 range must be positive")
+        if self.snr_db[0] >= self.snr_db[1]:
+            raise ValueError("snr_db must be (low, high) with low < high")
 
 
 def _dry_source(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -145,17 +142,18 @@ def sample_scenario(seed: int, ranges: ScenarioRanges = ScenarioRanges(),
                     snr_db: float | None = None, t60: float | None = None) -> MixtureTruth:
     """Deterministic 2-second mixture draw: random room, SNR, and sources.
 
+    The SNR is drawn from ``ranges.snr_db`` and t60 from ``T60_RANGE``;
     ``snr_db`` / ``t60`` pin those parameters instead of drawing them.
     """
     rng = np.random.default_rng(seed)
     drawn_snr = float(rng.uniform(*ranges.snr_db))
-    drawn_t60 = float(rng.uniform(*ranges.t60))
+    drawn_t60 = float(rng.uniform(*T60_RANGE))
     snr_db = drawn_snr if snr_db is None else float(snr_db)
     t60 = drawn_t60 if t60 is None else float(t60)
     n = ranges.segment_samples
     params = RirParams(direct_delay=int(rng.integers(8, 64)), t60=t60,
                        tail_length=min(int(t60 * SAMPLE_RATE), 12000),
-                       direct_gain=1.0, seed=int(rng.integers(0, 2**31 - 1)))
+                       seed=int(rng.integers(0, 2**31 - 1)))
     h_d, h_r = synth_rir(params)
     dry = _dry_source(rng, n)
     noise = _noise_source(rng, n)

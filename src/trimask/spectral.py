@@ -146,6 +146,8 @@ def istft(spec: ComplexSpectrogram, cfg: StftConfig, length: int | None = None,
 
 def trim_low_bins(spec: ComplexSpectrogram, n: int) -> ComplexSpectrogram:
     """Discard the ``n`` lowest frequency bins (e.g. 257 -> 253 for n=4)."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     if n >= spec.bin_count:
         raise ValueError(f"cannot trim {n} bins from a {spec.bin_count}-bin spectrogram")
     return ComplexSpectrogram(bins=spec.bins[:, n:].copy())
@@ -153,6 +155,8 @@ def trim_low_bins(spec: ComplexSpectrogram, n: int) -> ComplexSpectrogram:
 
 def restore_low_bins(spec: ComplexSpectrogram, n: int) -> ComplexSpectrogram:
     """Zero-fill ``n`` low bins, undoing the shape change of trim_low_bins."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     pad = np.zeros((spec.frame_count, n), dtype=spec.bins.dtype)
     return ComplexSpectrogram(bins=np.concatenate([pad, spec.bins], axis=1))
 

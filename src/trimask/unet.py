@@ -20,6 +20,7 @@ from .types import FEATURE_CHANNELS, FeatureStack, check_fields
 
 HEAD_CHANNELS = 10  # 2 mask pairs x (z_k, z_notk, beta_logit, q0, q1)
 LEAKY_SLOPE = 0.01  # of every encoder and decoder layer's leaky ReLU
+BN_EPS = 1e-5  # variance stabilizer of the batch norms fuse_batchnorm folds
 
 # Head logits whose masks pass the mixture through: direct sigma = 1,
 # beta = 1, xi = +1; noise sigma = 0.
@@ -292,13 +293,12 @@ def load_weights(path, cfg: UNetConfig | None = None) -> WeightSet:
     return ws
 
 
-def fuse_batchnorm(conv_w: np.ndarray, conv_b: np.ndarray, gamma, beta, mean, var,
-                   eps: float = 1e-5):
+def fuse_batchnorm(conv_w: np.ndarray, conv_b: np.ndarray, gamma, beta, mean, var):
     """Fold a per-channel batch norm into the preceding convolution.
 
     Returns (w', b') with w' = w * g/sqrt(v+eps) and
-    b' = (b - m) * g/sqrt(v+eps) + beta, so the fused layer equals
-    conv followed by normalization.
+    b' = (b - m) * g/sqrt(v+eps) + beta, eps = ``BN_EPS``, so the fused
+    layer equals conv followed by normalization.
     """
     gamma = np.asarray(gamma, dtype=conv_w.dtype)
     beta = np.asarray(beta, dtype=conv_w.dtype)
@@ -309,7 +309,7 @@ def fuse_batchnorm(conv_w: np.ndarray, conv_b: np.ndarray, gamma, beta, mean, va
         if arr.shape != (n_out,):
             raise ValueError(f"channel-count mismatch: {name} has shape {arr.shape}, "
                              f"conv has {n_out} output channels")
-    scale = gamma / np.sqrt(var + eps)
+    scale = gamma / np.sqrt(var + BN_EPS)
     return conv_w * scale[:, None, None, None], (conv_b - mean) * scale + beta
 
 

@@ -1,4 +1,5 @@
-"""WAV file I/O: 16 kHz mono, 16-bit PCM or 32-bit float, little-endian RIFF."""
+"""WAV file I/O: 16 kHz mono, little-endian RIFF; reads 16-bit PCM or 32-bit
+float and writes 32-bit float."""
 
 from __future__ import annotations
 
@@ -32,17 +33,6 @@ def read_wav(path) -> SignalBuffer:
     return SignalBuffer(samples=samples)
 
 
-def write_wav(path, signal, subtype: str = "float32") -> None:
-    """Write a signal as 16 kHz mono WAV.
-
-    subtype "float32" writes IEEE float samples verbatim; "pcm16" scales by
-    32767 and clips to the int16 range.
-    """
-    x = as_samples(signal)
-    if subtype == "float32":
-        wavfile.write(path, SAMPLE_RATE, x.astype(np.float32))
-    elif subtype == "pcm16":
-        scaled = np.clip(np.round(x * _PCM16_SCALE), -32768, 32767)
-        wavfile.write(path, SAMPLE_RATE, scaled.astype(np.int16))
-    else:
-        raise ValueError(f"unsupported write subtype {subtype!r} (use 'pcm16' or 'float32')")
+def write_wav(path, signal) -> None:
+    """Write a signal as 16 kHz mono 32-bit float WAV."""
+    wavfile.write(path, SAMPLE_RATE, as_samples(signal).astype(np.float32))

@@ -17,7 +17,7 @@ from trimask import (MaskLogits, assemble_masks, count_ops, default_config,
                      phase_distance, quadrangle_decompose, random_weights,
                      required_queues, sample_scenario, si_sdr, stft, write_wav)
 from trimask.cli import main as cli_main
-from trimask.losses import LossConfig, final_loss
+from trimask.losses import final_loss
 from trimask.spectral import NRT_PRESET, RT_PRESET
 from trimask.streaming import StreamState, stream_push
 from trimask.unet import ConvSpec, UNetConfig, conv_valid
@@ -165,38 +165,37 @@ def test_c5_queue_formula():
 def test_c6_loss_suite():
     start = time.perf_counter()
     rng = np.random.default_rng(6)
-    cfg = LossConfig()
 
     y = rng.uniform(-0.5, 0.5, 32000)
     seg = y[:4064]
     from trimask import cos_sim_loss
 
     assert cos_sim_loss(seg, seg) == pytest.approx(-1.0, abs=1e-8)
-    assert multiscale_loss(y, y, cfg) == pytest.approx(-4.0, abs=1e-8)
-    assert emphasized_loss(y, y, cfg) == pytest.approx(-12.0, abs=1e-8)
+    assert multiscale_loss(y, y) == pytest.approx(-4.0, abs=1e-8)
+    assert emphasized_loss(y, y) == pytest.approx(-12.0, abs=1e-8)
     comps = {k: (rng.uniform(-0.3, 0.3, 32000),) * 2 for k in ("d", "r", "n")}
     comps = {k: (v[0], v[0].copy()) for k, v in comps.items()}
     x = sum(v[0] for v in comps.values())
-    assert final_loss(comps, x, cfg) == pytest.approx(-72.0, abs=1e-8)
+    assert final_loss(comps, x) == pytest.approx(-72.0, abs=1e-8)
 
     big = rng.standard_normal(8128) * 4.0
     bighat = rng.standard_normal(8128) * 4.0
-    base = multiscale_loss(big, bighat, cfg)
+    base = multiscale_loss(big, bighat)
     for c in (0.5, 2.0, 100.0):
-        assert multiscale_loss(big, c * bighat, cfg) == pytest.approx(base, abs=1e-9)
+        assert multiscale_loss(big, c * bighat) == pytest.approx(base, abs=1e-9)
 
     worst = 0.0
     for i in range(100):
         n = int(rng.integers(4064, 10000))
         yy = rng.uniform(-0.4, 0.4, n)
         yh = rng.uniform(-0.4, 0.4, n)
-        grad = loss_gradient(yy, yh, cfg)
+        grad = loss_gradient(yy, yh)
         for _ in range(2):
             v = rng.standard_normal(n)
             v /= np.linalg.norm(v)
             h = 1e-6
-            fd = (emphasized_loss(yy, yh + h * v, cfg)
-                  - emphasized_loss(yy, yh - h * v, cfg)) / (2 * h)
+            fd = (emphasized_loss(yy, yh + h * v)
+                  - emphasized_loss(yy, yh - h * v)) / (2 * h)
             rel = abs(float(np.dot(grad, v)) - fd) / max(abs(fd), 1e-12)
             worst = max(worst, rel)
             assert rel < 1e-4
@@ -249,7 +248,7 @@ def test_c9_batchnorm_fusion_50_instances():
         raw = conv_valid(x, w, b, 1, 1)
         seq = gamma[:, None, None] * (raw - mean[:, None, None]) \
             / np.sqrt(var + 1e-5)[:, None, None] + beta[:, None, None]
-        wf, bf = fuse_batchnorm(w, b, gamma, beta, mean, var, eps=1e-5)
+        wf, bf = fuse_batchnorm(w, b, gamma, beta, mean, var)
         fused = conv_valid(x, wf, bf, 1, 1)
         worst = max(worst, float(np.max(np.abs(fused - seq))))
         assert worst < 1e-6

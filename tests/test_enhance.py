@@ -300,6 +300,24 @@ def test_enhance_rejects_bin_mismatch_before_stft(monkeypatch):
         enhance(_band_limited_signal(6, n=8000), random_weights(cfg, 0), cfg, RT_PRESET)
 
 
+@pytest.mark.parametrize("mode", ["causal-stream", "noncausal-window"])
+def test_enhance_rejects_unschedulable_network_before_stft(monkeypatch, mode):
+    # a stride-2 layer with kernel_t 1 leaves decoder frames that no input
+    # frame reaches; the stream plan cannot schedule them
+    import trimask.spectral
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("spectral.stft reached with an unschedulable network")
+
+    monkeypatch.setattr(trimask.spectral, "stft", unreachable)
+    cfg = UNetConfig(encoder=(ConvSpec(3, 1, 1, 2, 4),), decoder_channels=(4,), in_bins=9,
+                     in_frames=65, lookahead_frames=1)
+    x = np.random.default_rng(0).standard_normal(4000)
+    with pytest.raises(ValueError, match="no contributors"):
+        enhance(x, random_weights(cfg, 0, dtype=np.float64), cfg, StftConfig(16, 4),
+                mode=mode)
+
+
 def _stream(engine, x, cuts):
     """Run `x` through `engine` split at `cuts`; the concatenated outputs.
     Each chunk comes in a buffer that is overwritten once `process` returns."""

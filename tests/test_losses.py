@@ -3,15 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from trimask import (LossConfig, cos_sim_loss, emphasized_loss, final_loss,
-                     loss_gradient, mu_law, multiscale_loss, pre_emphasis)
+from trimask import (cos_sim_loss, emphasized_loss, final_loss, loss_gradient, mu_law,
+                     multiscale_loss, pre_emphasis)
 from trimask.losses import EPS_NORM, MU, PREEMPH_ALPHA
 
 
-def _brute_multiscale(y, yhat, cfg):
-    """Independent re-implementation with explicit loops."""
+def _brute_multiscale(y, yhat):
+    """Independent re-implementation with explicit loops over the paper's scales."""
     total = 0.0
-    for g in cfg.segment_lengths:
+    for g in (4064, 2032, 1016, 508):
         m = len(y) // g
         if m == 0:
             continue
@@ -44,20 +44,16 @@ def test_multiscale_perfect_and_flipped():
 
 def test_multiscale_matches_brute_force():
     rng = np.random.default_rng(2)
-    cfg = LossConfig()
     y = rng.standard_normal(8128)
     yhat = rng.standard_normal(8128)
-    assert multiscale_loss(y, yhat, cfg) == pytest.approx(
-        _brute_multiscale(y, yhat, cfg), abs=1e-12)
+    assert multiscale_loss(y, yhat) == pytest.approx(_brute_multiscale(y, yhat), abs=1e-12)
 
 
 def test_multiscale_drops_trailing_remainder():
     rng = np.random.default_rng(3)
     y = rng.standard_normal(5000)  # 4064-scale has 1 segment + remainder
     yhat = rng.standard_normal(5000)
-    cfg = LossConfig()
-    assert multiscale_loss(y, yhat, cfg) == pytest.approx(
-        _brute_multiscale(y, yhat, cfg), abs=1e-12)
+    assert multiscale_loss(y, yhat) == pytest.approx(_brute_multiscale(y, yhat), abs=1e-12)
 
 
 def test_multiscale_errors_when_no_scale_fits():
@@ -75,16 +71,15 @@ def test_multiscale_scale_invariance():
 
 
 def test_pre_emphasis():
-    assert np.array_equal(pre_emphasis([1.0, 2.0, 3.0], 0.0).samples, [1.0, 2.0, 3.0])
-    out = pre_emphasis([1.0, 1.0, 1.0], 0.97).samples
+    out = pre_emphasis([1.0, 1.0, 1.0]).samples
     assert np.allclose(out, [1.0, 0.03, 0.03])
-    dc = pre_emphasis(np.full(100, 0.5), 0.97).samples
+    dc = pre_emphasis(np.full(100, 0.5)).samples
     assert np.allclose(dc[1:], 0.5 * (1 - 0.97))
 
 
 def test_mu_law_values():
     mu = 65535.0
-    out = mu_law(np.array([0.0, 1.0, -1.0, 0.5]), mu).samples
+    out = mu_law(np.array([0.0, 1.0, -1.0, 0.5])).samples
     assert out[0] == 0.0
     assert out[1] == pytest.approx(1.0, abs=1e-15)
     assert out[2] == pytest.approx(-1.0, abs=1e-15)
@@ -92,7 +87,7 @@ def test_mu_law_values():
     assert out[3] == pytest.approx(oracle, abs=1e-15)
     assert oracle == pytest.approx(0.93750, abs=1e-5)
     # clamps outside [-1, 1]
-    assert mu_law(np.array([2.0]), mu).samples[0] == pytest.approx(1.0, abs=1e-15)
+    assert mu_law(np.array([2.0])).samples[0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_emphasized_perfect_and_odd():
@@ -104,7 +99,6 @@ def test_emphasized_perfect_and_odd():
 
 def test_emphasized_matches_composition_oracle():
     rng = np.random.default_rng(6)
-    cfg = LossConfig()
     y = rng.uniform(-0.5, 0.5, 8128)
     yhat = rng.uniform(-0.5, 0.5, 8128)
 
@@ -117,10 +111,10 @@ def test_emphasized_matches_composition_oracle():
         u = np.clip(u, -1, 1)
         return np.sign(u) * np.log1p(MU * np.abs(u)) / np.log1p(MU)
 
-    oracle = (_brute_multiscale(y, yhat, cfg)
-              + _brute_multiscale(pi(y), pi(yhat), cfg)
-              + _brute_multiscale(mu(pi(y)), mu(pi(yhat)), cfg))
-    assert emphasized_loss(y, yhat, cfg) == pytest.approx(oracle, abs=1e-12)
+    oracle = (_brute_multiscale(y, yhat)
+              + _brute_multiscale(pi(y), pi(yhat))
+              + _brute_multiscale(mu(pi(y)), mu(pi(yhat))))
+    assert emphasized_loss(y, yhat) == pytest.approx(oracle, abs=1e-12)
 
 
 def _components(rng, n):
@@ -171,54 +165,50 @@ def test_gradient_vanishes_at_perfect_prediction():
     assert np.max(np.abs(grad)) < 1e-10
 
 
-def test_multiscale_gradient_tangent_per_segment():
-    # cosine-similarity gradients are tangent to the sphere per segment
+def test_multiscale_gradient_tangent_to_estimate():
+    # cosine-similarity gradients are tangent to the sphere per segment; every
+    # scale tiles 4064 samples exactly, so their sum is tangent to the estimate
     from trimask.losses import _multiscale_grad
 
     rng = np.random.default_rng(12)
-    cfg = LossConfig(segment_lengths=(508,))
-    y = rng.uniform(-0.4, 0.4, 2032)
-    yhat = rng.uniform(-0.4, 0.4, 2032)
-    grad = _multiscale_grad(y, yhat, cfg)
-    for i in range(4):
-        g = grad[508 * i : 508 * (i + 1)]
-        s = yhat[508 * i : 508 * (i + 1)]
-        cosine = abs(np.dot(g, s)) / (np.linalg.norm(g) * np.linalg.norm(s))
-        assert cosine < 1e-6
+    y = rng.uniform(-0.4, 0.4, 4064)
+    yhat = rng.uniform(-0.4, 0.4, 4064)
+    grad = _multiscale_grad(y, yhat)
+    cosine = abs(np.dot(grad, yhat)) / (np.linalg.norm(grad) * np.linalg.norm(yhat))
+    assert cosine < 1e-6
 
 
-def _directional_fd(y, yhat, cfg, v, h=1e-6):
-    return (emphasized_loss(y, yhat + h * v, cfg)
-            - emphasized_loss(y, yhat - h * v, cfg)) / (2 * h)
+def _directional_fd(y, yhat, v, h=1e-6):
+    return (emphasized_loss(y, yhat + h * v)
+            - emphasized_loss(y, yhat - h * v)) / (2 * h)
 
 
 def test_gradient_against_finite_differences():
     rng = np.random.default_rng(13)
-    cfg = LossConfig()
     for _ in range(10):
         n = int(rng.integers(4064, 12000))
         y = rng.uniform(-0.4, 0.4, n)
         yhat = rng.uniform(-0.4, 0.4, n)
-        grad = loss_gradient(y, yhat, cfg)
+        grad = loss_gradient(y, yhat)
         for _ in range(4):
             v = rng.standard_normal(n)
             v /= np.linalg.norm(v)
-            fd = _directional_fd(y, yhat, cfg, v)
+            fd = _directional_fd(y, yhat, v)
             assert abs(float(np.dot(grad, v)) - fd) <= 1e-4 * max(abs(fd), 1e-12)
 
 
 def test_gradient_coordinate_finite_differences():
+    # at 1016 samples only the 1016 and 508 scales fit
     rng = np.random.default_rng(14)
-    cfg = LossConfig(segment_lengths=(508, 254))
     y = rng.uniform(-0.4, 0.4, 1016)
     yhat = rng.uniform(-0.4, 0.4, 1016)
-    grad = loss_gradient(y, yhat, cfg)
+    grad = loss_gradient(y, yhat)
     h = 1e-6
     for idx in rng.integers(0, 1016, size=24):
         e = np.zeros(1016)
         e[idx] = 1.0
-        fd = (emphasized_loss(y, yhat + h * e, cfg)
-              - emphasized_loss(y, yhat - h * e, cfg)) / (2 * h)
+        fd = (emphasized_loss(y, yhat + h * e)
+              - emphasized_loss(y, yhat - h * e)) / (2 * h)
         assert abs(grad[idx] - fd) <= 1e-4 * max(abs(fd), 1e-8)
 
 
@@ -246,10 +236,3 @@ def test_emphasis_stages_are_odd():
     yh = rng.uniform(-0.5, 0.5, 8128)
     assert emphasized_loss(-yy, -yh) == pytest.approx(emphasized_loss(yy, yh), abs=1e-12)
 
-
-def test_loss_config_validation():
-    with pytest.raises(ValueError):
-        LossConfig(segment_lengths=())
-    for value in ((2.5,), (4064, 508.0), 4064, (True,)):
-        with pytest.raises(ValueError, match="segment_lengths"):
-            LossConfig(segment_lengths=value)

@@ -67,7 +67,7 @@ def test_analytic_equals_instrumented_random_configs():
                          in_bins=7, in_frames=frames,
                          lookahead_frames=int(rng.integers(0, min(4, frames))))
         report = count_ops(cfg)
-        naive_m, stream_m = measured_ops(cfg, seed=trial)
+        naive_m, stream_m = measured_ops(cfg)
         for layer in report.layers:
             assert naive_m[layer.name] == layer.naive_mults, layer.name
             assert stream_m[layer.name] == layer.streaming_mults, layer.name

@@ -10,8 +10,7 @@ from trimask.simulate import REFLECTION_GAP
 
 
 def test_rir_direct_impulse():
-    h_d, h_r = synth_rir(RirParams(direct_delay=0, t60=0.3, tail_length=100,
-                                   direct_gain=1.0, seed=0))
+    h_d, h_r = synth_rir(RirParams(direct_delay=0, t60=0.3, tail_length=100, seed=0))
     assert h_d[0] == 1.0
     assert np.count_nonzero(h_d) == 1
     assert np.all(h_r[:REFLECTION_GAP] == 0.0)  # disjoint supports
@@ -44,10 +43,9 @@ def test_rir_param_validation():
         RirParams(t60=0.0)
     with pytest.raises(ValueError):
         RirParams(tail_length=0)
-    for name in ("t60", "direct_gain"):
-        for value in (math.nan, math.inf, -math.inf, "0.3", True):
-            with pytest.raises(ValueError, match=name):
-                RirParams(**{name: value})
+    for value in (math.nan, math.inf, -math.inf, "0.3", True):
+        with pytest.raises(ValueError, match="t60"):
+            RirParams(t60=value)
     for name in ("direct_delay", "tail_length", "seed"):
         for value in (2.5, 1.0, "16", False):
             with pytest.raises(ValueError, match=name):
@@ -153,12 +151,9 @@ def test_scenario_snr_distribution_uniform():
 def test_scenario_ranges_validation():
     with pytest.raises(ValueError):
         ScenarioRanges(snr_db=(10.0, -10.0))
-    with pytest.raises(ValueError):
-        ScenarioRanges(t60=(-0.1, 0.5))
-    for name in ("snr_db", "t60"):
-        for bad in ((math.nan, 1.0), (0.1, math.inf), (0.5,), (0.1, 0.5, 0.9), ("0.1", 0.5),
-                    [0.1, 0.5], 0.5):
-            with pytest.raises(ValueError, match=name):
-                ScenarioRanges(**{name: bad})
+    for bad in ((math.nan, 1.0), (0.1, math.inf), (0.5,), (0.1, 0.5, 0.9), ("0.1", 0.5),
+                [0.1, 0.5], 0.5):
+        with pytest.raises(ValueError, match="snr_db"):
+            ScenarioRanges(snr_db=bad)
     with pytest.raises(ValueError, match="segment_samples"):
         ScenarioRanges(segment_samples=6400.0)

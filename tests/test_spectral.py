@@ -131,6 +131,8 @@ def test_trim_low_bins():
     assert not np.shares_memory(same.bins, spec.bins)
     with pytest.raises(ValueError):
         trim_low_bins(spec, 257)
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        trim_low_bins(spec, -3)
 
 
 def test_restore_low_bins_round_trip():
@@ -142,6 +144,8 @@ def test_restore_low_bins_round_trip():
     same = restore_low_bins(spec, 0)
     assert np.array_equal(same.bins, spec.bins)
     assert not np.shares_memory(same.bins, spec.bins)
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        restore_low_bins(spec, -1)
 
 
 def test_trim_restore_is_projection():

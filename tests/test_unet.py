@@ -8,8 +8,8 @@ from trimask import (ConvSpec, UNetConfig, config_for_preset, config_from_json_d
                      split_head, validate_weights)
 from trimask.masking import assemble_masks, quadrangle_decompose
 from trimask.spectral import NRT_PRESET, RT_PRESET
-from trimask.unet import (IDENTITY_HEAD, WeightSet, conv_valid, conv_transposed_valid, head,
-                          leaky)
+from trimask.unet import (BN_EPS, IDENTITY_HEAD, WeightSet, conv_valid, conv_transposed_valid,
+                          head, leaky)
 
 
 def test_default_config_shapes():
@@ -146,8 +146,9 @@ def test_fuse_batchnorm_identity():
     rng = np.random.default_rng(3)
     w = rng.standard_normal((4, 2, 3, 3))
     b = rng.standard_normal(4)
+    # var + BN_EPS is exactly 1.0, so the fold scales by exactly 1
     w2, b2 = fuse_batchnorm(w, b, gamma=np.ones(4), beta=np.zeros(4),
-                            mean=np.zeros(4), var=np.ones(4), eps=0.0)
+                            mean=np.zeros(4), var=np.full(4, 1.0 - BN_EPS))
     assert np.array_equal(w2, w)
     assert np.array_equal(b2, b)
 
@@ -157,7 +158,7 @@ def test_fuse_batchnorm_gamma_two_doubles():
     w = rng.standard_normal((4, 2, 3, 3))
     b = rng.standard_normal(4)
     w2, b2 = fuse_batchnorm(w, b, gamma=np.full(4, 2.0), beta=np.zeros(4),
-                            mean=np.zeros(4), var=np.ones(4), eps=0.0)
+                            mean=np.zeros(4), var=np.full(4, 1.0 - BN_EPS))
     assert np.allclose(w2, 2.0 * w)
     assert np.allclose(b2, 2.0 * b)
 
@@ -175,7 +176,7 @@ def test_fuse_batchnorm_matches_sequential():
         raw = conv_valid(x, w, b, 1, 1)
         seq = (raw - mean[:, None, None]) / np.sqrt(var + 1e-5)[:, None, None]
         seq = gamma[:, None, None] * seq + beta[:, None, None]
-        wf, bf = fuse_batchnorm(w, b, gamma, beta, mean, var, eps=1e-5)
+        wf, bf = fuse_batchnorm(w, b, gamma, beta, mean, var)
         fused = conv_valid(x, wf, bf, 1, 1)
         assert np.max(np.abs(fused - seq)) < 1e-6
 
