@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from trimask import (DrcConfig, enhance, phase_distance, random_weights,
+from trimask import (DrcConfig, count_ops, enhance, phase_distance, random_weights,
                      sample_scenario, si_sdr, stft, write_wav)
 from trimask.spectral import RT_PRESET
 from trimask.unet import config_for_preset
@@ -51,5 +51,5 @@ out_dir = Path(tempfile.gettempdir()) / "trimask_pipeline"  # each run overwrite
 out_dir.mkdir(exist_ok=True)
 write_wav(out_dir / "input.wav", x)
 write_wav(out_dir / "remixed.wav", result.remixed)
-print(f"\nper-layer cost model:\n{result.op_report.to_text()}")
+print(f"\nper-layer cost model:\n{count_ops(cfg).to_text()}")
 print(f"\nwrote input/remixed WAVs to {out_dir}")

@@ -7,7 +7,7 @@ U-Net supplies the mask logits either windowed or incrementally with
 per-layer frame queues.
 """
 
-from .types import SAMPLE_RATE, ComplexSpectrogram, FeatureStack, SignalBuffer
+from .types import SAMPLE_RATE, ComplexSpectrogram, SignalBuffer
 from .spectral import (NRT_PRESET, PRESETS, RT_PRESET, StftConfig,
                        OverlapAdd, extract_features, istft, restore_low_bins, stft,
                        trim_low_bins)

@@ -91,7 +91,7 @@ def _cmd_enhance(args) -> int:
         wavio.write_wav(comp_dir / "reverb.wav", result.reverb)
         wavio.write_wav(comp_dir / "noise.wav", result.noise)
     if args.emit_stats:
-        stats = {"mode": mode, **result.op_report.to_json_dict(),
+        stats = {"mode": mode, **count_ops(cfg).to_json_dict(),
                  "frames_total": result.frames_total,
                  "frames_emitted": result.frames_emitted}
         Path(args.emit_stats).write_text(json.dumps(stats, indent=2) + "\n")

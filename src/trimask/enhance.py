@@ -1,12 +1,13 @@
 """End-to-end enhancement pipeline, run as one bounded-memory block pipeline.
 
 stft -> trim -> features -> per-frame mask logits (streaming or windowed
-backend) -> mask assembly -> quadrangle decomposition -> restore -> istft
-per component -> remix (optionally compressed). :class:`StreamingEnhancer`
-runs these stages on whatever samples each call brings, vectorised over
-the call's frames, and carries only what later samples need: the analysis
-tail, the last frame's phase, the backend's history, the frames still
-awaiting their heads, the overlap-add sums and the compressor's follower.
+backend) -> mask assembly -> quadrangle decomposition -> restore and istft
+of the three components as one (3, T, F) stack -> remix (optionally
+compressed). :class:`StreamingEnhancer` runs these stages on whatever
+samples each call brings, vectorised over the call's frames, and carries
+only what later samples need: the analysis tail, the last frame's phase,
+the backend's history, the frames still awaiting their heads, the one
+overlap-add carry of the three components and the compressor's follower.
 :func:`enhance` feeds a whole signal through it in fixed blocks, so its
 memory beyond the result does not grow with the input.
 
@@ -26,7 +27,7 @@ import numpy as np
 from . import spectral
 from .dynamics import DrcConfig, DrcState, compress
 from .masking import assemble_masks, check_reverb_gain_db, quadrangle_decompose, remix
-from .opcount import OpCountReport, count_ops
+from .opcount import count_ops
 from .streaming import StreamState, stream_push
 from .types import FEATURE_CHANNELS, ComplexSpectrogram, SignalBuffer, as_samples
 from .unet import (IDENTITY_HEAD, UNetConfig, WeightSet, features_to_tensor, split_head,
@@ -49,7 +50,6 @@ class EnhanceResult:
     reverb: SignalBuffer
     noise: SignalBuffer
     remixed: SignalBuffer
-    op_report: OpCountReport
     frames_total: int
     frames_emitted: int
 
@@ -100,7 +100,7 @@ class StreamingEnhancer:
         self._buf = np.zeros(0)  # input from the first sample of frame `frames_total`
         self._prev_phase = None
         self._pending = np.zeros((0, bins), dtype=complex)  # frames awaiting heads
-        self._ola = [spectral.OverlapAdd(stft_cfg) for _ in range(3)]
+        self._ola = spectral.OverlapAdd(stft_cfg)
         self._drc_state = DrcState()
 
     def process(self, samples) -> EnhancedSamples:
@@ -144,18 +144,16 @@ class StreamingEnhancer:
         if final:  # no frame follows: free the backend before the mask stage
             self._state = self._history = None
 
-        parts = [np.zeros(0)] * 3
+        parts = np.zeros((3, 0))
         if r1 > r0:
-            logits_d, logits_n = split_head(grid)
-            field_d = assemble_masks(logits_d)
-            field_n = assemble_masks(logits_n)
             ys = quadrangle_decompose(ComplexSpectrogram(pending[: r1 - r0]),
-                                      field_d, field_n)
-            parts = [spectral.istft(spectral.restore_low_bins(y, n_trim), stft_cfg,
-                                    carry=ola).samples for y, ola in zip(ys, self._ola)]
+                                      *map(assemble_masks, split_head(grid)))
+            del grid  # freed, as the fields are, before the stacked inverse FFT
+            parts = spectral.istft(spectral.restore_low_bins(np.stack([y.bins for y in ys]),
+                                                             n_trim), stft_cfg, carry=self._ola)
         if final:  # the samples after the last frame's overlap are zeros
-            pad = np.zeros(len(self._buf) - (stft_cfg.window_size - hop))
-            parts = [np.concatenate([p, ola.finish(), pad]) for p, ola in zip(parts, self._ola)]
+            pad = np.zeros((3, len(self._buf) - (stft_cfg.window_size - hop)))
+            parts = np.concatenate([parts, self._ola.finish(), pad], axis=-1)
 
         d, r, n = parts
         mixed = remix(d, r, self.reverb_gain_db)
@@ -168,9 +166,9 @@ class StreamingEnhancer:
         emitted at ingest of frame t goes to `grid[:, t - first]`."""
         cfg = self.cfg
         t0 = cfg.in_frames
-        n1 = n0 + feats.frame_count
+        n1 = n0 + feats.shape[1]
         if self.mode == "causal-stream":
-            frames = feats.channels.transpose(0, 2, 1)  # (C, F, T)
+            frames = feats.transpose(0, 2, 1)  # (C, F, T)
             for t in range(n0, n1):
                 head = stream_push(frames[:, :, t - n0], self._state)
                 if head is not None:
@@ -199,7 +197,7 @@ def enhance(signal, weights: WeightSet, cfg: UNetConfig, stft_cfg: StftConfig,
     x = as_samples(signal)
     engine = StreamingEnhancer(weights, cfg, stft_cfg, mode, reverb_gain_db, drc)
     # before any audio: a network the stream plan cannot schedule fails here
-    op_report = count_ops(cfg)
+    count_ops(cfg)
     # the last block ends the stream in the same call, so that its frames
     # awaiting heads share its mask stage
     blocks = np.split(x, range(_BLOCK_FRAMES * stft_cfg.hop_size, len(x),
@@ -213,7 +211,6 @@ def enhance(signal, weights: WeightSet, cfg: UNetConfig, stft_cfg: StftConfig,
         out[:, pos : pos + len(part.direct)] = part
         pos += len(part.direct)
     return EnhanceResult(*(SignalBuffer(samples=row) for row in out),
-                         op_report=op_report,
                          frames_total=engine.frames_total,
                          frames_emitted=engine.frames_emitted)
 
@@ -224,11 +221,8 @@ def oracle_reconstruct(truth, stft_cfg: StftConfig):
     this a near-perfect decomposition."""
     from .masking import oracle_fit
 
-    X = spectral.stft(truth.x, stft_cfg)
-    field_d = assemble_masks(oracle_fit(X, spectral.stft(truth.y_d, stft_cfg)))
-    field_n = assemble_masks(oracle_fit(X, spectral.stft(truth.y_n, stft_cfg)))
-    y_d, y_r, y_n = quadrangle_decompose(X, field_d, field_n)
-    n = len(truth.x)
-    return (spectral.istft(y_d, stft_cfg, length=n),
-            spectral.istft(y_r, stft_cfg, length=n),
-            spectral.istft(y_n, stft_cfg, length=n))
+    X = spectral.stft(truth.x, stft_cfg).bins
+    fields = (assemble_masks(oracle_fit(X, spectral.stft(y, stft_cfg)))
+              for y in (truth.y_d, truth.y_n))
+    stack = np.stack(quadrangle_decompose(X, *fields))
+    return tuple(map(SignalBuffer, spectral.istft(stack, stft_cfg, length=len(truth.x))))

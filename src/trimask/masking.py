@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, logit
 
-from .types import ComplexSpectrogram, SignalBuffer, as_samples, bins_of
+from .types import SignalBuffer, as_samples, bins_of, spectrogram_like
 
 EPS_DEG = 1e-8   # degenerate triangle side threshold
 EPS_CLIP = 1e-8  # |2*sigma - 1| below this: clip bound -> inf, skip the clip
@@ -129,10 +129,6 @@ def assemble_masks(logits: MaskLogits) -> PhmMaskField:
                         mask_notk=mag_notk * (cos_dnotk - 1j * xi * sin_dnotk))
 
 
-def _like(X, bins):
-    return ComplexSpectrogram(bins) if isinstance(X, ComplexSpectrogram) else bins
-
-
 def apply_mask(X, field: PhmMaskField):
     """Split X into (Y_k, Y_notk) = (mask_k * X, mask_notk * X)."""
     bins = bins_of(X)
@@ -140,7 +136,7 @@ def apply_mask(X, field: PhmMaskField):
         raise ValueError(
             f"shape mismatch: spectrogram {bins.shape} vs mask {field.mask_k.shape}"
         )
-    return _like(X, field.mask_k * bins), _like(X, field.mask_notk * bins)
+    return spectrogram_like(X, field.mask_k * bins), spectrogram_like(X, field.mask_notk * bins)
 
 
 def quadrangle_decompose(X, field_d: PhmMaskField, field_n: PhmMaskField):
@@ -156,7 +152,7 @@ def quadrangle_decompose(X, field_d: PhmMaskField, field_n: PhmMaskField):
     y_d = field_d.mask_k * bins
     y_n = field_n.mask_k * bins
     y_r = bins - y_d - y_n
-    return _like(X, y_d), _like(X, y_r), _like(X, y_n)
+    return spectrogram_like(X, y_d), spectrogram_like(X, y_r), spectrogram_like(X, y_n)
 
 
 def oracle_fit(X, Y_target) -> MaskLogits:

@@ -8,11 +8,12 @@ summed squared window, which reconstructs interior samples exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.signal import get_window
 
-from .types import ComplexSpectrogram, FeatureStack, SignalBuffer, as_samples, check_fields
+from .types import (ComplexSpectrogram, SignalBuffer, as_samples, bins_of, check_fields,
+                    spectrogram_like)
 
 EPS_MAG = 1e-7  # magnitude floor before the log
 
@@ -36,6 +37,14 @@ class StftConfig:
         """Untrimmed one-sided bin count."""
         return self.window_size // 2 + 1
 
+    @cached_property
+    def window(self) -> np.ndarray:
+        """The periodic Hann window, read-only, as scipy's get_window("hann", N) builds it."""
+        n = self.window_size
+        win = np.ones(1) if n == 1 else 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1))[:n]
+        win.flags.writeable = False
+        return win
+
     def frame_count(self, n_samples: int) -> int:
         if n_samples < self.window_size:
             return 0
@@ -50,10 +59,6 @@ NRT_PRESET = StftConfig(window_size=1024, hop_size=256, discard_low_bins=0)
 PRESETS = {"rt": RT_PRESET, "nrt": NRT_PRESET}
 
 
-def _analysis_window(cfg: StftConfig) -> np.ndarray:
-    return get_window("hann", cfg.window_size, fftbins=True)
-
-
 def stft(signal, cfg: StftConfig) -> ComplexSpectrogram:
     """Short-time Fourier transform with a periodic Hann analysis window.
 
@@ -66,15 +71,15 @@ def stft(signal, cfg: StftConfig) -> ComplexSpectrogram:
             f"insufficient samples: need at least {cfg.window_size}, got {len(x)}"
         )
     frames = np.lib.stride_tricks.sliding_window_view(x, cfg.window_size)[:: cfg.hop_size]
-    frames = frames * _analysis_window(cfg)
+    frames = frames * cfg.window
     bins = np.fft.rfft(frames, axis=1)
     return ComplexSpectrogram(bins=bins)
 
 
 class OverlapAdd:
     """What a streamed inverse STFT carries between calls: the unnormalised
-    sums and squared-window sums of the ``window_size - hop_size`` samples
-    that later frames still add to."""
+    sums (leading axes as in the first call) and the one squared-window sum
+    of the ``window_size - hop_size`` samples that later frames still add to."""
 
     def __init__(self, cfg: StftConfig):
         overlap = cfg.window_size - cfg.hop_size
@@ -88,20 +93,20 @@ class OverlapAdd:
 
 def _normalise(y: np.ndarray, norm: np.ndarray) -> np.ndarray:
     nonzero = norm > 1e-10
-    y[nonzero] /= norm[nonzero]
-    y[~nonzero] = 0.0
+    y[..., nonzero] /= norm[nonzero]
+    y[..., ~nonzero] = 0.0
     return y
 
 
-def istft(spec: ComplexSpectrogram, cfg: StftConfig, length: int | None = None,
-          carry: OverlapAdd | None = None) -> SignalBuffer:
+def istft(spec, cfg: StftConfig, length: int | None = None, carry: OverlapAdd | None = None):
     """Inverse STFT by weighted overlap-add.
 
     The synthesis window equals the analysis window; each output sample is
     normalized by the local sum of squared windows, which makes
     ``istft(stft(x))`` exact wherever the window coverage is nonzero.
     Trimmed spectra must be zero-padded back first via
-    :func:`restore_low_bins`.
+    :func:`restore_low_bins`. A ComplexSpectrogram gives a SignalBuffer, a
+    ``(..., T, F)`` stack of grids a ``(..., samples)`` array.
 
     With ``carry``, the frames continue a stream: they add onto the overlap
     that ``carry`` holds from earlier calls, only the ``hop_size`` samples
@@ -115,33 +120,37 @@ def istft(spec: ComplexSpectrogram, cfg: StftConfig, length: int | None = None,
     """
     if length is not None and carry is not None:
         raise ValueError("length applies to a whole-signal call, not to one with carry")
-    if spec.bin_count != cfg.bin_count:
+    bins = bins_of(spec)
+    *lead, n_frames, n_bins = bins.shape
+    if n_bins != cfg.bin_count:
         raise ValueError(
-            f"shape mismatch: spectrogram has {spec.bin_count} bins, "
+            f"shape mismatch: spectrogram has {n_bins} bins, "
             f"config expects {cfg.bin_count} (restore trimmed bins first)"
         )
-    n_frames = spec.frame_count
-    win = _analysis_window(cfg)
-    frames = np.fft.irfft(spec.bins, n=cfg.window_size, axis=1)
-    frames = frames * win[None, :]
+    hop, reach = cfg.hop_size, cfg.window_size // cfg.hop_size
+    frames = np.fft.irfft(bins, n=cfg.window_size, axis=-1)
+    frames *= cfg.window  # in place: one (..., T, N) array, not two
 
     ola = carry if carry is not None else OverlapAdd(cfg)
-    done = n_frames * cfg.hop_size  # samples no later frame reaches
-    y = np.concatenate([ola.y, np.zeros(done)])
+    done = n_frames * hop  # samples no later frame reaches
+    y = np.zeros((*lead, len(ola.norm) + done))
+    y[..., : len(ola.norm)] = ola.y
     norm = np.concatenate([ola.norm, np.zeros(done)])
-    wsq = win * win
-    for t in range(n_frames):
-        start = t * cfg.hop_size
-        y[start : start + cfg.window_size] += frames[t]
-        norm[start : start + cfg.window_size] += wsq
-    ola.y, ola.norm = y[done:].copy(), norm[done:].copy()
-    y = _normalise(y[:done], norm[:done])
-    if carry is not None:
-        return SignalBuffer(samples=y)
-    y = np.concatenate([y, ola.finish()])
-    if length is not None:
-        y = np.concatenate([y[:length], np.zeros(max(length - len(y), 0))])
-    return SignalBuffer(samples=y)
+    # hop r of frame t lands on hop block t + r; descending r adds each
+    # sample's frames oldest first
+    y_blocks, norm_blocks = y.reshape(*lead, -1, hop), norm.reshape(-1, hop)
+    frames, wsq = frames.reshape(*lead, n_frames, reach, hop), cfg.window * cfg.window
+    for r in range(reach - 1, -1, -1):
+        y_blocks[..., r : r + n_frames, :] += frames[..., r, :]
+        norm_blocks[r : r + n_frames] += wsq[r * hop : (r + 1) * hop]
+    ola.y, ola.norm = y[..., done:].copy(), norm[done:].copy()
+    y = _normalise(y[..., :done], norm[:done])
+    if carry is None:
+        y = np.concatenate([y, ola.finish()], axis=-1)
+        if length is not None:
+            pad = np.zeros((*lead, max(length - y.shape[-1], 0)))
+            y = np.concatenate([y[..., :length], pad], axis=-1)
+    return SignalBuffer(samples=y) if isinstance(spec, ComplexSpectrogram) else y
 
 
 def trim_low_bins(spec: ComplexSpectrogram, n: int) -> ComplexSpectrogram:
@@ -153,12 +162,14 @@ def trim_low_bins(spec: ComplexSpectrogram, n: int) -> ComplexSpectrogram:
     return ComplexSpectrogram(bins=spec.bins[:, n:].copy())
 
 
-def restore_low_bins(spec: ComplexSpectrogram, n: int) -> ComplexSpectrogram:
-    """Zero-fill ``n`` low bins, undoing the shape change of trim_low_bins."""
+def restore_low_bins(spec, n: int):
+    """Zero-fill ``n`` low bins, undoing the shape change of trim_low_bins,
+    on a ComplexSpectrogram or along the last axis of a (..., T, F) array."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    pad = np.zeros((spec.frame_count, n), dtype=spec.bins.dtype)
-    return ComplexSpectrogram(bins=np.concatenate([pad, spec.bins], axis=1))
+    bins = bins_of(spec)
+    pad = np.zeros((*bins.shape[:-1], n), dtype=bins.dtype)
+    return spectrogram_like(spec, np.concatenate([pad, bins], axis=-1))
 
 
 def _wrap_phase(x: np.ndarray) -> np.ndarray:
@@ -167,8 +178,8 @@ def _wrap_phase(x: np.ndarray) -> np.ndarray:
 
 
 def extract_features(spec: ComplexSpectrogram, cfg: StftConfig, first_frame: int = 0,
-                     prev_phase: np.ndarray | None = None) -> FeatureStack:
-    """Build the 5-channel input feature stack from a (trimmed) spectrogram.
+                     prev_phase: np.ndarray | None = None) -> np.ndarray:
+    """The (5, T, F) float64 input feature stack of a (trimmed) spectrogram.
 
     Trimming drops only the lowest bins, so bin ``f`` of an ``n``-bin grid
     is physical bin ``cfg.bin_count - n + f``; a grid wider than the STFT's
@@ -196,8 +207,10 @@ def extract_features(spec: ComplexSpectrogram, cfg: StftConfig, first_frame: int
     ch0 = np.log(mag + EPS_MAG)
 
     f_phys = np.arange(cfg.bin_count - n_bins, cfg.bin_count)
-    t_idx = np.arange(first_frame, first_frame + n_frames)
-    ramp = 2.0 * np.pi * cfg.hop_size / cfg.window_size * np.outer(t_idx, f_phys)
+    # whole cycles go in integers, t first, so rounding does not grow with t
+    t_idx = np.arange(first_frame, first_frame + n_frames) % cfg.window_size
+    ramp = 2.0 * np.pi / cfg.window_size * (np.outer(cfg.hop_size * t_idx, f_phys)
+                                            % cfg.window_size)
     demod = _wrap_phase(phase - ramp)
     demod = np.where(mag == 0.0, 0.0, demod)
     ch1 = np.cos(demod)
@@ -210,4 +223,4 @@ def extract_features(spec: ComplexSpectrogram, cfg: StftConfig, first_frame: int
     if prev_phase is not None and n_frames:
         ch4[0] = _wrap_phase(phase[0] - prev_phase)
 
-    return FeatureStack(channels=np.stack([ch0, ch1, ch2, ch3, ch4]))
+    return np.stack([ch0, ch1, ch2, ch3, ch4])

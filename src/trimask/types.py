@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 SAMPLE_RATE = 16000
-FEATURE_CHANNELS = 5  # channels of a FeatureStack and of the U-Net input
+FEATURE_CHANNELS = 5  # channels of extract_features' stack and of the U-Net input
 _FLOAT_MAX = sys.float_info.max
 
 
@@ -86,10 +86,6 @@ class ComplexSpectrogram:
             self.bins = self.bins.astype(np.complex128)
 
     @property
-    def frame_count(self) -> int:
-        return self.bins.shape[0]
-
-    @property
     def bin_count(self) -> int:
         return self.bins.shape[1]
 
@@ -99,26 +95,6 @@ def bins_of(spec) -> np.ndarray:
     return spec.bins if isinstance(spec, ComplexSpectrogram) else np.asarray(spec)
 
 
-@dataclass
-class FeatureStack:
-    """Five aligned real-valued T x F feature grids.
-
-    Channels: log-magnitude, demodulated-phase cos, demodulated-phase sin,
-    group delay, delta-phase.
-    """
-
-    channels: np.ndarray  # (FEATURE_CHANNELS, T, F)
-
-    def __post_init__(self):
-        self.channels = np.asarray(self.channels, dtype=np.float64)
-        if self.channels.ndim != 3 or self.channels.shape[0] != FEATURE_CHANNELS:
-            raise ValueError(f"expected ({FEATURE_CHANNELS}, T, F) feature stack, "
-                             f"got {self.channels.shape}")
-
-    @property
-    def frame_count(self) -> int:
-        return self.channels.shape[1]
-
-    @property
-    def bin_count(self) -> int:
-        return self.channels.shape[2]
+def spectrogram_like(spec, bins: np.ndarray):
+    """``bins`` as a ComplexSpectrogram if ``spec`` is one, else the array."""
+    return ComplexSpectrogram(bins) if isinstance(spec, ComplexSpectrogram) else bins

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from .masking import LOGIT_CLAMP, MaskLogits
-from .types import FEATURE_CHANNELS, FeatureStack, check_fields
+from .types import FEATURE_CHANNELS, check_fields
 
 HEAD_CHANNELS = 10  # 2 mask pairs x (z_k, z_notk, beta_logit, q0, q1)
 LEAKY_SLOPE = 0.01  # of every encoder and decoder layer's leaky ReLU
@@ -408,8 +408,8 @@ def split_head(head: np.ndarray):
 
 
 def features_to_tensor(features, cfg: UNetConfig, dtype) -> np.ndarray:
-    """FeatureStack (5, T, F) -> engine layout (C, F, T), validated."""
-    arr = features.channels if isinstance(features, FeatureStack) else np.asarray(features)
+    """Features (5, T, F) -> engine layout (C, F, T), validated."""
+    arr = np.asarray(features)
     if arr.ndim != 3 or arr.shape[0] != FEATURE_CHANNELS:
         raise ValueError(f"expected ({FEATURE_CHANNELS}, T, F) features, got {arr.shape}")
     if arr.shape[2] != cfg.in_bins:

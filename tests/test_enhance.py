@@ -170,7 +170,6 @@ def test_enhance_with_drc_runs(rt_setup):
     result = enhance(x, _pass_through_weights(cfg), cfg, stft_cfg,
                      drc=DrcConfig(makeup_db=0.0))
     assert len(result.remixed) == len(x)
-    assert result.op_report.overall_reduction >= 0.80
 
 
 def test_enhance_rejects_unknown_mode(rt_setup):
