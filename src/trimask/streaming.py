@@ -21,13 +21,20 @@ never recomputed.
 static strided view of its queue slab with a column buffer; each decoder
 step packs its layer's taps into one matrix, of which every output frame's
 GEMM operand is a column slice, and owns its input, output and scatter
-buffers. A push is then a fixed run of GEMMs (through ``unet._matmul``, the
-one multiply tally) and in-place copies and ufuncs; a decoder step fills its
-bias, adds its ``kf`` scatter taps and applies the leaky step once over all
-of its output frames. Beyond numpy's transient iterator buffers, it
-allocates only the head frame it returns. The
-multiplies and their summation order are those of ``unet``'s kernels, so
-the output is theirs bit for bit.
+buffers. A decoder step lays its output out by frequency stride phase
+(output bin ``p + k*stride_f`` at phase ``p``, position ``k``) and pads each
+frame's GEMM output rows with zeros to the phase width, so each of its
+``kf`` taps adds onto one phase as one unit-stride run per frame. A push is
+then a fixed run of GEMMs (through ``unet._matmul``, the one multiply tally)
+and in-place copies and ufuncs; a decoder step fills its bias, adds its
+taps in ascending order and applies the leaky step once over all of its
+output frames, then copies each phase back in frequency order into the
+next step's input or the head's. It allocates only the head frame it
+returns, plus the one numpy iterator buffer of the head's broadcast bias
+add. The multiplies are those of ``unet``'s kernels, but OpenBLAS may order
+a GEMM's sums differently at other widths, so the stream equals the
+windowed kernels within GEMM rounding, not bit for bit: acceptance check C3
+pins it at 1e-4 in fp32 and 1e-10 in fp64.
 """
 
 from __future__ import annotations
@@ -39,8 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .types import FEATURE_CHANNELS
-from .unet import (UNetConfig, WeightSet, _im2col, _matmul, _scatter_pairs, head, leaky,
-                   validate_weights)
+from .unet import UNetConfig, WeightSet, _im2col, _matmul, head, leaky, validate_weights
 
 
 def required_queues(cfg: UNetConfig, depth: int) -> int:
@@ -131,10 +137,11 @@ class _DecoderLayer(NamedTuple):
     skip: np.ndarray       # the input buffer's skip (dec1: bottleneck) channels
     read: np.ndarray       # the queue frames that fill them
     gemms: tuple           # per output frame: (taps operand, input rows, output rows)
-    y: np.ndarray          # (frames, O, Fo)
+    y: np.ndarray          # (frames, sf, O, pf): output bin p + k*sf at [:, p, :, k]
     bias: np.ndarray       # (O, 1)
-    scatter: list          # (dst, src) pairs, one per frequency tap
-    out: np.ndarray        # receives the leaky y: the next step's input channels, or the head's
+    scatter: list          # (dst, src) unit-stride runs of y and the GEMM output, one per tap
+    gather: list           # (dst, src) per phase: the leaky y into the next step's input
+                           # channels, or the head's, in frequency order
     scratch: np.ndarray    # y-shaped, for the leaky step
 
 
@@ -206,18 +213,28 @@ def _compile_decoder(state: StreamState, step: _DecoderStep, x: np.ndarray,
     F = x.shape[2]
     order = sorted(range(kt), key=lambda tap: (tap % spec.stride_t, -tap))
     packed = np.ascontiguousarray(w[:, :, :, order].transpose(2, 0, 3, 1)).reshape(kf * O, -1)
-    contrib = np.empty((len(step.taps), kf * O, F), dtype=w.dtype)
+    # output bin p + k*sf sits at y[:, p, :, k]: tap i lands on phase i % sf,
+    # shifted by i // sf, so it adds as one unit-stride run per frame, and the
+    # GEMM rows are zero-padded to the phase width so that the run's pitch is
+    # the same in source and destination; where a run spills across rows, it
+    # adds only the padding's +0.0
+    sf, frames = spec.stride_f, len(step.taps)
+    pf = F - 1 + -(-kf // sf)
+    contrib = np.zeros((frames, kf, O, pf), dtype=w.dtype)
     gemms = []
     for row, c in zip(step.taps, contrib):
         first, n = order.index(row[0][1]) * C, len(row) * C
         a = row[0][0] - step.inputs[0]
-        gemms.append((packed[:, first : first + n], x[a : a + len(row)].reshape(n, F), c))
-    y = np.empty((len(step.taps), O, (F - 1) * spec.stride_f + kf), dtype=w.dtype)
-    scatter = _scatter_pairs(y[..., None], contrib.reshape(-1, kf, 1, O, F, 1),
-                             spec.stride_f, 1)
+        gemms.append((packed[:, first : first + n], x[a : a + len(row)].reshape(n, F),
+                      c.reshape(kf * O, pf)[:, :F]))
+    y = np.empty((frames, sf, O, pf), dtype=w.dtype)
+    runs, taps = y.reshape(frames, sf, O * pf), contrib.reshape(frames, kf, O * pf)
+    scatter = [(runs[:, i % sf, i // sf :], taps[:, i, : O * pf - i // sf]) for i in range(kf)]
+    gather = [(out[..., p::sf], y[:, p, :, : len(range(p, out.shape[-1], sf))])
+              for p in range(sf)]
     skip = x[:, C - state.queues[step.level].shape[1]:]
     return _DecoderLayer(name, skip, state.queues[step.level][step.read], tuple(gemms), y,
-                         state.weights[f"{name}.bias"][:, None], scatter, out,
+                         state.weights[f"{name}.bias"][:, None], scatter, gather,
                          np.empty_like(y))
 
 
@@ -254,6 +271,8 @@ def stream_push(frame: np.ndarray, state: StreamState):
         dec.y[...] = dec.bias
         for dst, src in dec.scatter:
             dst += src
-        dec.out[...] = leaky(dec.y, out=dec.y, scratch=dec.scratch)
+        leaky(dec.y, out=dec.y, scratch=dec.scratch)
+        for dst, src in dec.gather:
+            dst[...] = src
     # the last step computes only the target frame
     return head(state.head_in, state.weights, counter)

@@ -337,15 +337,6 @@ def _im2col(x: np.ndarray, kf: int, kt: int, sf: int, st: int) -> np.ndarray:
     return windows[:, ::sf, ::st].transpose(0, 3, 4, 1, 2)
 
 
-def _scatter_pairs(y: np.ndarray, contrib: np.ndarray, sf: int, st: int) -> list:
-    """The transposed convolution's (dst, src) view pairs, tap by tap: tap
-    (i, j) of contrib (..., kf, kt, O, F, T) adds onto y (..., O, Fo, To) at
-    frequency rows i, i+sf, ... and time columns j, j+st, ..."""
-    *_, kf, kt, _, F, T = contrib.shape
-    return [(y[..., i : i + (F - 1) * sf + 1 : sf, j : j + (T - 1) * st + 1 : st],
-             contrib[..., i, j, :, :, :]) for i in range(kf) for j in range(kt)]
-
-
 def conv_valid(x: np.ndarray, w: np.ndarray, b: np.ndarray, sf: int, st: int,
                counter=None, name: str | None = None) -> np.ndarray:
     """Valid strided 2-D convolution; x is (C, F, T), w is (O, C, kf, kt)."""
@@ -368,8 +359,10 @@ def conv_transposed_valid(x: np.ndarray, w: np.ndarray, b: np.ndarray, sf: int, 
     y[:] = b[:, None, None]
     contrib = _matmul(w.transpose(2, 3, 0, 1).reshape(kf * kt * O, C), x.reshape(C, F * T),
                       counter, name).reshape(kf, kt, O, F, T)
-    for dst, src in _scatter_pairs(y, contrib, sf, st):
-        dst += src
+    # tap (i, j) adds onto frequency rows i, i+sf, ... and time columns j, j+st, ...
+    for i in range(kf):
+        for j in range(kt):
+            y[:, i : i + (F - 1) * sf + 1 : sf, j : j + (T - 1) * st + 1 : st] += contrib[i, j]
     return y
 
 
