@@ -101,11 +101,14 @@ def _cmd_enhance(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    if args.count < 1:
+        print(f"error: --count must be >= 1, got {args.count}", file=sys.stderr)
+        return 2
     if args.snr_db is not None and args.snr_range is not None:
         print("error: --snr-db and --snr-range are mutually exclusive", file=sys.stderr)
         return 2
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     ranges = ScenarioRanges() if args.snr_range is None else ScenarioRanges(
         snr_db=tuple(args.snr_range))
 

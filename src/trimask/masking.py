@@ -16,13 +16,31 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, logit
 
 from .types import SignalBuffer, as_samples, bins_of, spectrogram_like
 
 EPS_DEG = 1e-8   # degenerate triangle side threshold
 EPS_CLIP = 1e-8  # |2*sigma - 1| below this: clip bound -> inf, skip the clip
 LOGIT_CLAMP = 500.0
+
+
+def expit(x):
+    """The logistic sigmoid 1 / (1 + exp(-x)), elementwise, by
+    scipy.special.expit's formula; like it, 0 below about x = -709.78,
+    where exp(-x) overflows to inf."""
+    out = np.negative(x, out=np.empty(np.shape(x)))
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out)
+    out += 1.0
+    return np.reciprocal(out, out=out)
+
+
+def logit(p):
+    """The inverse sigmoid log(p / (1 - p)), elementwise, for p in [0, 1]:
+    -inf at 0 and +inf at 1."""
+    p = np.asarray(p, dtype=np.float64)
+    with np.errstate(divide="ignore"):
+        return np.log(p / (1.0 - p))
 
 
 @dataclass
@@ -176,8 +194,7 @@ def oracle_fit(X, Y_target) -> MaskLogits:
     a = np.abs(ratio)
     b = np.abs(1.0 - ratio)
 
-    with np.errstate(divide="ignore"):
-        z = logit(a / np.maximum(a + b, EPS_DEG))
+    z = logit(a / np.maximum(a + b, EPS_DEG))
     z_k = np.clip(np.where(fit, z, LOGIT_CLAMP), -LOGIT_CLAMP, LOGIT_CLAMP)
 
     beta = np.maximum(a + b, 1.0)

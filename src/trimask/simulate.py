@@ -6,6 +6,10 @@ begins a fixed 2 ms (32 samples) after the direct arrival and the decay is
 measured from the direct arrival, so a vanishing t60 silences the tail
 entirely. Mixtures are built by exact summation, so x == y_d + y_r + y_n
 bit for bit.
+
+scipy.signal (filter design, filtering and convolution) is imported by the
+functions that call it, on first use, so that ``import trimask`` and the
+engine load numpy only.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import butter, fftconvolve, lfilter
 
 from .types import SAMPLE_RATE, SignalBuffer, as_samples, check_fields
 
@@ -79,6 +82,8 @@ def mix(dry, h_d: np.ndarray, h_r: np.ndarray, noise, snr_db: float,
     ``length`` optionally trims every component before the SNR is realized,
     so the requested ratio holds exactly on the returned signals.
     """
+    from scipy.signal import fftconvolve
+
     d = as_samples(dry)
     y_d = fftconvolve(d, h_d)
     y_r = fftconvolve(d, h_r)
@@ -117,6 +122,8 @@ class ScenarioRanges:
 def _dry_source(rng: np.random.Generator, n: int) -> np.ndarray:
     """Band-limited speech-like source: modulated harmonic stack plus a
     little band-passed noise (no content below the 93.75 Hz trim cutoff)."""
+    from scipy.signal import butter, lfilter
+
     t = np.arange(n) / SAMPLE_RATE
     f0 = rng.uniform(150.0, 320.0)
     sig = np.zeros(n)
@@ -132,6 +139,8 @@ def _dry_source(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def _noise_source(rng: np.random.Generator, n: int) -> np.ndarray:
+    from scipy.signal import butter, lfilter
+
     b, a = butter(4, [150.0 / (SAMPLE_RATE / 2), 6500.0 / (SAMPLE_RATE / 2)], btype="band")
     noise = lfilter(b, a, rng.standard_normal(n))
     rms = float(np.sqrt(np.mean(noise * noise)))

@@ -1,10 +1,13 @@
 """WAV file I/O: 16 kHz mono, little-endian RIFF; reads 16-bit PCM or 32-bit
-float and writes 32-bit float."""
+float and writes 32-bit float.
+
+scipy.io.wavfile is imported by ``read_wav`` and ``write_wav`` on first use,
+so that ``import trimask`` loads numpy only.
+"""
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.io import wavfile
 
 from .types import SAMPLE_RATE, SignalBuffer, as_samples
 
@@ -13,6 +16,8 @@ _PCM16_SCALE = 32767.0
 
 def read_wav(path) -> SignalBuffer:
     """Read a 16 kHz mono WAV file (PCM16 or float32) into a SignalBuffer."""
+    from scipy.io import wavfile
+
     try:
         rate, data = wavfile.read(path)
     except Exception as exc:
@@ -35,4 +40,6 @@ def read_wav(path) -> SignalBuffer:
 
 def write_wav(path, signal) -> None:
     """Write a signal as 16 kHz mono 32-bit float WAV."""
+    from scipy.io import wavfile
+
     wavfile.write(path, SAMPLE_RATE, as_samples(signal).astype(np.float32))

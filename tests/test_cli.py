@@ -191,6 +191,15 @@ def test_simulate_rejects_conflicting_snr_flags(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_simulate_rejects_count_below_one(tmp_path, capsys, count):
+    out = tmp_path / "x"
+    rc = main(["simulate", "--seed", "1", "--out-dir", str(out), "--count", count])
+    assert rc == 2
+    assert f"--count must be >= 1, got {count}" in capsys.readouterr().err
+    assert not out.exists()  # rejected before any file is written
+
+
 def test_metrics_identical_files(tmp_path, capsys):
     path = _mixture_wav(tmp_path, seed=4)
     rc = main(["metrics", "--reference", str(path), "--estimate", str(path)])

@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import expit as scipy_expit
+from scipy.special import logit as scipy_logit
 
 from trimask import (MaskLogits, PhmMaskField, apply_mask, assemble_masks,
                      gumbel_sign, magnitude_masks, oracle_fit, phase_factors,
                      quadrangle_decompose, remix)
+from trimask.masking import LOGIT_CLAMP, expit, logit
 
 
 def _logits(z_k=0.0, z_notk=0.0, beta_logit=0.0, q0=0.0, q1=0.0, shape=(1, 1)):
@@ -215,3 +218,29 @@ def test_mask_logits_validation():
     with pytest.raises(ValueError, match="finite"):
         MaskLogits(z_k=np.full((1, 1), np.nan), z_notk=np.zeros((1, 1)),
                    beta_logit=np.zeros((1, 1)), q0=np.zeros((1, 1)), q1=np.zeros((1, 1)))
+
+
+def test_expit_matches_scipy_within_4_ulp():
+    rng = np.random.default_rng(0)
+    # +-2 * LOGIT_CLAMP is the widest z_k - z_notk; the largest ULP gaps
+    # sit near x = -37, where 1 + exp(-x) starts to round
+    x = np.concatenate([np.linspace(-2 * LOGIT_CLAMP, 2 * LOGIT_CLAMP, 200_001),
+                        rng.uniform(-40.0, 40.0, 200_000)])
+    ref = scipy_expit(x)
+    assert np.all(np.abs(expit(x) - ref) <= 4 * np.spacing(ref))
+    assert expit(np.array([-1000.0, 0.0, 1000.0])).tolist() == [0.0, 0.5, 1.0]
+
+
+def test_logit_matches_scipy():
+    p = np.concatenate([np.linspace(0.0, 1.0, 1_000_001),
+                        np.random.default_rng(1).uniform(0.0, 1.0, 200_000)])
+    ref = scipy_logit(p)
+    ours = logit(p)
+    assert np.array_equal(np.isfinite(ours), np.isfinite(ref))
+    fin = np.isfinite(ref)
+    # scipy evaluates the same formula outside [0.3, 0.65] and a log1p form
+    # inside it: the two agree to 5e-16 where the logit is small and to one
+    # ULP where it is large
+    gap = np.abs(ours[fin] - ref[fin])
+    assert np.all(gap <= np.maximum(5e-16, np.spacing(np.abs(ref[fin]))))
+    assert logit(np.array([0.0, 1.0])).tolist() == [-np.inf, np.inf]
