@@ -1,10 +1,11 @@
 """trimask: single-stage speech denoising and dereverberation.
 
 Complex time-frequency masks built from triangle geometry (beta-scaled
-sigmoid magnitudes, law-of-cosines phase, binary rotation sign) decompose a
-mixture into direct source, reverberation, and noise; a valid-convolution
-U-Net supplies the mask logits either windowed or incrementally with
-per-layer frame queues.
+sigmoid magnitudes, a phase that closes the triangle, binary rotation sign),
+computed in closed form from the triangle's sides, decompose a mixture into
+direct source, reverberation, and noise; a valid-convolution U-Net supplies
+the mask logits either windowed or incrementally with per-layer frame
+queues.
 """
 
 from .types import SAMPLE_RATE, ComplexSpectrogram, SignalBuffer
@@ -12,9 +13,7 @@ from .spectral import (NRT_PRESET, PRESETS, RT_PRESET, StftConfig,
                        OverlapAdd, extract_features, istft, restore_low_bins, stft,
                        trim_low_bins)
 from .wavio import read_wav, write_wav
-from .masking import (MaskLogits, PhmMaskField, apply_mask, assemble_masks,
-                      gumbel_sign, magnitude_masks, oracle_fit, phase_factors,
-                      quadrangle_decompose, remix)
+from .masking import MaskLogits, assemble_masks, oracle_fit, quadrangle_decompose, remix
 from .losses import (cos_sim_loss, emphasized_loss, final_loss, loss_gradient, mu_law,
                      multiscale_loss, pre_emphasis)
 from .unet import (ConvSpec, UNetConfig, WeightSet, config_for_preset,

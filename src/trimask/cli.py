@@ -171,7 +171,10 @@ def _cmd_bench_ops(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
-    if args.count <= 0:
+    if args.count < 0:
+        print(f"error: --count must be >= 0, got {args.count}", file=sys.stderr)
+        return 2
+    if args.count == 0:
         print("oracle-check: nothing to do")
         return 0
     stft_cfg = PRESETS["rt"]

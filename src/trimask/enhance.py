@@ -1,13 +1,14 @@
 """End-to-end enhancement pipeline, run as one bounded-memory block pipeline.
 
 stft -> trim -> features -> per-frame mask logits (streaming or windowed
-backend) -> mask assembly -> quadrangle decomposition -> restore and istft
-of the three components as one (3, T, F) stack -> remix (optionally
-compressed). :class:`StreamingEnhancer` runs these stages on whatever
-samples each call brings, vectorised over the call's frames, and carries
-only what later samples need: the analysis tail, the last frame's phase,
-the backend's history, the frames still awaiting their heads, the one
-overlap-add carry of the three components and the compressor's follower.
+backend) -> mask assembly of both pairs, in closed form, into rows 0 and 2
+of the untrimmed (3, T, F) synthesis stack -> quadrangle decomposition in
+place -> istft of the stack -> remix (optionally compressed).
+:class:`StreamingEnhancer` runs these stages on whatever samples each call
+brings, vectorised over the call's frames, and carries only what later
+samples need: the analysis tail, the last frame's phase, the backend's
+history, the frames still awaiting their heads, the one overlap-add carry
+of the three components and the compressor's follower.
 :func:`enhance` feeds a whole signal through it in fixed blocks, so its
 memory beyond the result does not grow with the input.
 
@@ -146,11 +147,15 @@ class StreamingEnhancer:
 
         parts = np.zeros((3, 0))
         if r1 > r0:
-            ys = quadrangle_decompose(ComplexSpectrogram(pending[: r1 - r0]),
-                                      *map(assemble_masks, split_head(grid)))
-            del grid  # freed, as the fields are, before the stacked inverse FFT
-            parts = spectral.istft(spectral.restore_low_bins(np.stack([y.bins for y in ys]),
-                                                             n_trim), stft_cfg, carry=self._ola)
+            # the (3, T, F) synthesis stack: its low bins are the trimmed
+            # zeros, both pairs' masks go straight into rows 0 and 2, and
+            # the decomposition turns them into the components in place
+            stack = np.empty((3, r1 - r0, stft_cfg.bin_count), dtype=complex)
+            stack[..., :n_trim] = 0.0
+            assemble_masks(split_head(grid), out=stack[::2, :, n_trim:])
+            del grid  # freed before the stacked inverse FFT
+            quadrangle_decompose(ComplexSpectrogram(pending[: r1 - r0]), stack[..., n_trim:])
+            parts = spectral.istft(stack, stft_cfg, carry=self._ola)
         if final:  # the samples after the last frame's overlap are zeros
             pad = np.zeros((3, len(self._buf) - (stft_cfg.window_size - hop)))
             parts = np.concatenate([parts, self._ola.finish(), pad], axis=-1)
@@ -222,7 +227,8 @@ def oracle_reconstruct(truth, stft_cfg: StftConfig):
     from .masking import oracle_fit
 
     X = spectral.stft(truth.x, stft_cfg).bins
-    fields = (assemble_masks(oracle_fit(X, spectral.stft(y, stft_cfg)))
-              for y in (truth.y_d, truth.y_n))
-    stack = np.stack(quadrangle_decompose(X, *fields))
+    stack = np.empty((3, *X.shape), dtype=complex)
+    for row, y in zip(stack[::2], (truth.y_d, truth.y_n)):
+        assemble_masks(oracle_fit(X, spectral.stft(y, stft_cfg)), out=row)
+    quadrangle_decompose(X, stack)
     return tuple(map(SignalBuffer, spectral.istft(stack, stft_cfg, length=len(truth.x))))

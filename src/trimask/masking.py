@@ -1,14 +1,24 @@
-"""Phase-aware beta-scaled sigmoid masks.
+"""Phase-aware beta-scaled sigmoid masks, in closed form.
 
 A mask pair (M_k, M_notk) splits a mixture bin into a source of interest and
-the rest. Magnitudes come from a shared coefficient beta times complementary
-sigmoids; the pair's phases are recovered from the law of cosines over the
-triangle with sides (1, |M_k|, |M_notk|), with a binary rotation sign. The
-construction guarantees M_k + M_notk == 1, so masked components always sum
-back to the mixture. Two pairs (direct vs rest, noise vs rest) decompose the
-mixture into direct / reverberation / noise; with three corners pinned by
-the two triangles, the reverberation falls out as X - Y_d - Y_n, the
-remaining side of a quadrangle.
+the rest. Its magnitudes are a shared coefficient beta times complementary
+sigmoids, |M_k| = beta*sigma and |M_notk| = beta*(1 - sigma), and its phases
+close the triangle with sides (1, |M_k|, |M_notk|), turned by a binary
+rotation sign xi. With d = beta*(2*sigma - 1) = |M_k| - |M_notk|, the law of
+cosines and Heron's formula give the mask from the sides alone:
+
+    M_k = [(1 + beta*d) + i*xi*sqrt((beta^2 - 1)(1 - d^2))] / 2
+
+and M_notk = 1 - M_k, so masked components always sum back to the mixture.
+No angle, cosine or division by a side is formed, so near-degenerate
+triangles keep their precision (W. Kahan, "Miscalculating Area and Angles of
+a Needle-like Triangle"). Two pairs (direct vs rest, noise vs rest)
+decompose the mixture into direct / reverberation / noise; with three
+corners pinned by the two triangles, the reverberation falls out as
+X - Y_d - Y_n, the remaining side of a quadrangle. The pipeline computes
+both pairs' M_k in one pass straight into rows 0 and 2 of the ``(3, T, F)``
+stack that the inverse STFT consumes, and the decomposition then fills that
+stack in place.
 """
 
 from __future__ import annotations
@@ -19,33 +29,15 @@ import numpy as np
 
 from .types import SignalBuffer, as_samples, bins_of, spectrogram_like
 
-EPS_DEG = 1e-8   # degenerate triangle side threshold
-EPS_CLIP = 1e-8  # |2*sigma - 1| below this: clip bound -> inf, skip the clip
+EPS_DEG = 1e-8   # |X| at or below this: oracle_fit's pass-through defaults
 LOGIT_CLAMP = 500.0
-
-
-def expit(x):
-    """The logistic sigmoid 1 / (1 + exp(-x)), elementwise, by
-    scipy.special.expit's formula; like it, 0 below about x = -709.78,
-    where exp(-x) overflows to inf."""
-    out = np.negative(x, out=np.empty(np.shape(x)))
-    with np.errstate(over="ignore"):
-        np.exp(out, out=out)
-    out += 1.0
-    return np.reciprocal(out, out=out)
-
-
-def logit(p):
-    """The inverse sigmoid log(p / (1 - p)), elementwise, for p in [0, 1]:
-    -inf at 0 and +inf at 1."""
-    p = np.asarray(p, dtype=np.float64)
-    with np.errstate(divide="ignore"):
-        return np.log(p / (1.0 - p))
 
 
 @dataclass
 class MaskLogits:
-    """Pre-activation network outputs for one mask pair, each T x F."""
+    """Pre-activation network outputs of mask pairs: five grids of one
+    shape, any leading axes (``unet.split_head`` gives a leading pair axis,
+    direct then noise)."""
 
     z_k: np.ndarray
     z_notk: np.ndarray
@@ -67,152 +59,135 @@ class MaskLogits:
         return np.shape(self.z_k)
 
 
-@dataclass
-class PhmMaskField:
-    """Assembled complex mask pair, mask_k + mask_notk == 1 per bin.
+def assemble_masks(logits: MaskLogits, out: np.ndarray | None = None) -> np.ndarray:
+    """M_k of every pair in ``logits``, as a complex array of its shape,
+    written into ``out`` (which may be a strided view) if one is given.
 
-    Beta, the magnitudes, the sign and the cosines come from the logits
-    through :func:`magnitude_masks`, :func:`gumbel_sign` and
-    :func:`phase_factors`.
+    sigma = sigmoid(z_k - z_notk), so 2*sigma - 1 = tanh((z_k - z_notk)/2);
+    beta = 1 + softplus(beta_logit), clipped from above by
+    1/|2*sigma - 1| so that |d| <= 1, the triangle inequality; xi = -1
+    where q0 > q1 and +1 otherwise (ties +1). Where beta was clipped,
+    |d| == 1 exactly and the triangle is collinear: the imaginary part is
+    exactly 0. The complement is M_notk = 1 - M_k.
     """
-
-    mask_k: np.ndarray
-    mask_notk: np.ndarray
-
-
-def magnitude_masks(logits: MaskLogits):
-    """Magnitude halves of a mask pair.
-
-    sigma = sigmoid(z_k - z_notk); beta = 1 + softplus(beta_logit), clipped
-    from above by 1/|2*sigma - 1| so the triangle inequality
-    | |M_k| - |M_notk| | <= 1 holds. Returns (mag_k, mag_notk, beta) with
-    mag_k + mag_notk == beta exactly.
-    """
-    sigma = expit(np.asarray(logits.z_k, dtype=np.float64)
-                  - np.asarray(logits.z_notk, dtype=np.float64))
-    beta_raw = 1.0 + np.logaddexp(0.0, np.asarray(logits.beta_logit, dtype=np.float64))
-    gap = np.abs(2.0 * sigma - 1.0)
-    bound = np.where(gap > EPS_CLIP, 1.0 / np.maximum(gap, EPS_CLIP), np.inf)
-    beta = np.minimum(beta_raw, bound)
-    mag_k = beta * sigma
-    # complement by subtraction: the sigma-complement identity
-    # mag_k + mag_notk == beta then holds to the last rounding
-    return mag_k, beta - mag_k, beta
-
-
-def gumbel_sign(q0, q1):
-    """Rotation sign grid xi in {-1, +1} from the two sign logits.
-
-    The inference-time Gumbel-softmax: a hard argmax, -1 where q0 > q1 and
-    +1 otherwise, so ties select +1 (the softmax temperature cancels).
-    """
-    q0 = np.asarray(q0, dtype=np.float64)
-    q1 = np.asarray(q1, dtype=np.float64)
-    if q0.shape != q1.shape:
-        raise ValueError("q0 and q1 must share one shape")
-    return np.where(q0 > q1, -1.0, 1.0)
-
-
-def phase_factors(mag_k, mag_notk):
-    """Law-of-cosines phase terms for both halves of a mask pair.
-
-    cos(dtheta_k) = (1 + mag_k^2 - mag_notk^2) / (2 mag_k), clamped to
-    [-1, 1]; sin is the nonnegative root. The caller applies the rotation
-    sign: +xi on the source-k factor, -xi on the complement, closing the
-    triangle. Sides below EPS_DEG
-    degenerate to (cos, sin) = (1, 0).
-    """
-    mag_k = np.asarray(mag_k, dtype=np.float64)
-    mag_notk = np.asarray(mag_notk, dtype=np.float64)
-
-    def half(a, b):
-        safe = np.maximum(a, EPS_DEG)
-        cos = np.clip((1.0 + a * a - b * b) / (2.0 * safe), -1.0, 1.0)
-        cos = np.where(a < EPS_DEG, 1.0, cos)
-        sin = np.sqrt(np.maximum(1.0 - cos * cos, 0.0))
-        sin = np.where(a < EPS_DEG, 0.0, sin)
-        return cos, sin
-
-    cos_dk, sin_dk = half(mag_k, mag_notk)
-    cos_dnotk, sin_dnotk = half(mag_notk, mag_k)
-    return cos_dk, sin_dk, cos_dnotk, sin_dnotk
+    shape = logits.shape
+    if out is None:
+        out = np.empty(shape, dtype=np.complex128)
+    elif out.shape != shape:
+        raise ValueError(f"shape mismatch: logits {shape} vs out {out.shape}")
+    t = np.subtract(logits.z_k, logits.z_notk, dtype=np.float64)
+    t *= 0.5
+    np.tanh(t, out=t)  # 2*sigma - 1
+    # s = softplus(beta_logit) = beta_raw - 1, as max(x, 0) + log1p(exp(-|x|))
+    bl = logits.beta_logit
+    s = np.abs(bl, dtype=np.float64)
+    np.negative(s, out=s)
+    np.exp(s, out=s)
+    np.log1p(s, out=s)
+    d = np.maximum(bl, 0.0, dtype=np.float64)
+    s += d
+    # d = beta*(2*sigma - 1) for the clipped beta: beta_raw*t, clipped to [-1, 1]
+    np.multiply(s, t, out=d)
+    d += t
+    np.clip(d, -1.0, 1.0, out=d)
+    # imaginary part: xi*sqrt((1 - d)*(1 + d)*s*(2 + s))/2, with beta^2 - 1 =
+    # s*(2 + s) for the unclipped beta; where beta was clipped, 1 - d == 0 or
+    # 1 + d == 0 makes it exactly 0
+    re, im = out.real, out.imag
+    h = np.subtract(1.0, d)
+    np.add(d, 1.0, out=im)
+    h *= im
+    h *= s
+    np.add(s, 2.0, out=im)
+    h *= im
+    np.sqrt(h, out=h)
+    np.multiply(h, 0.5, out=im)
+    np.negative(im, out=im, where=np.greater(logits.q0, logits.q1))
+    # real part: (1 + beta*d)/2 with beta = min(1 + s, 1/|2*sigma - 1|)
+    np.abs(t, out=t)
+    with np.errstate(divide="ignore"):
+        np.reciprocal(t, out=t)
+    s += 1.0
+    np.minimum(s, t, out=s)
+    s *= d
+    s += 1.0
+    np.multiply(s, 0.5, out=re)
+    return out
 
 
-def assemble_masks(logits: MaskLogits) -> PhmMaskField:
-    """Compose magnitudes, sign selection and phase factors into complex masks."""
-    mag_k, mag_notk, _ = magnitude_masks(logits)
-    xi = gumbel_sign(logits.q0, logits.q1)
-    cos_dk, sin_dk, cos_dnotk, sin_dnotk = phase_factors(mag_k, mag_notk)
-    return PhmMaskField(mask_k=mag_k * (cos_dk + 1j * xi * sin_dk),
-                        mask_notk=mag_notk * (cos_dnotk - 1j * xi * sin_dnotk))
+def quadrangle_decompose(X, masks: np.ndarray):
+    """Decompose a mixture into (direct, reverberation, noise), in place.
 
-
-def apply_mask(X, field: PhmMaskField):
-    """Split X into (Y_k, Y_notk) = (mask_k * X, mask_notk * X)."""
-    bins = bins_of(X)
-    if bins.shape != field.mask_k.shape:
-        raise ValueError(
-            f"shape mismatch: spectrogram {bins.shape} vs mask {field.mask_k.shape}"
-        )
-    return spectrogram_like(X, field.mask_k * bins), spectrogram_like(X, field.mask_notk * bins)
-
-
-def quadrangle_decompose(X, field_d: PhmMaskField, field_n: PhmMaskField):
-    """Decompose a mixture into (direct, reverberation, noise).
-
-    field_d separates direct vs rest, field_n separates noise vs rest; the
-    reverberation is whatever remains, X - Y_d - Y_n, so the three
-    parts always sum back to X.
+    ``masks`` is a ``(3, *X.shape)`` complex stack holding M_k of the
+    direct pair in row 0 and of the noise pair in row 2, as
+    ``assemble_masks(split_head(head), out=masks[::2])`` writes them. Rows
+    0 and 2 become Y_d = M_d*X and Y_n = M_n*X, and row 1 the
+    reverberation X - Y_d - Y_n, so the three rows always sum back to X.
+    Returns the rows (as ComplexSpectrograms if X is one), views of
+    ``masks``.
     """
     bins = bins_of(X)
-    if bins.shape != field_d.mask_k.shape or bins.shape != field_n.mask_k.shape:
-        raise ValueError("shape mismatch between spectrogram and mask fields")
-    y_d = field_d.mask_k * bins
-    y_n = field_n.mask_k * bins
-    y_r = bins - y_d - y_n
+    if masks.shape != (3, *bins.shape):
+        raise ValueError(f"shape mismatch: spectrogram {bins.shape} vs mask stack "
+                         f"{masks.shape}")
+    y_d, y_r, y_n = masks
+    y_d *= bins
+    y_n *= bins
+    np.subtract(bins, y_d, out=y_r)
+    y_r -= y_n
     return spectrogram_like(X, y_d), spectrogram_like(X, y_r), spectrogram_like(X, y_n)
 
 
 def oracle_fit(X, Y_target) -> MaskLogits:
     """Invert the mask construction analytically for a known target.
 
-    Per bin, with a = |Y|/|X| and b = |X - Y|/|X|, the unique mask
-    parameters are sigma = a/(a+b), beta = a+b, and xi the sign of
-    Im(Y/X) (ties +1). Any true complex pair satisfies beta >= 1 and
-    |a - b| <= 1, so the beta clip never truncates a feasible target.
-    Bins with |X| <= EPS_DEG get pass-through defaults (mask_k == 1).
+    Per bin, with a = |Y/X| and b = |1 - Y/X|, the unique mask parameters
+    are z_k - z_notk = log a - log b = logit(a/(a+b)), beta = a+b, and xi
+    the sign of Im(Y/X) (ties +1). Any true complex pair satisfies
+    beta >= 1 and |a - b| <= 1, so the beta clip never truncates a
+    feasible target. a and b share the divisor |X|, which cancels from
+    log a - log b, so no complex division is formed. Bins with
+    |X| <= EPS_DEG get pass-through defaults (mask_k == 1).
     """
     Xb = bins_of(X)
     Yb = bins_of(Y_target)
     if Xb.shape != Yb.shape:
         raise ValueError("shape mismatch between mixture and target")
 
-    absX = np.abs(Xb)
-    fit = absX > EPS_DEG
-    safeX = np.where(fit, Xb, 1.0)
-    ratio = Yb / safeX
-    a = np.abs(ratio)
-    b = np.abs(1.0 - ratio)
+    abs_x = np.abs(Xb)
+    unfit = abs_x <= EPS_DEG
+    a = np.abs(Yb)  # |X| * a
+    b = np.abs(np.subtract(Xb, Yb))  # |X| * b
+    # the pass-through defaults: a = 1, b = 0 over |X| = 1
+    np.copyto(a, 1.0, where=unfit)
+    np.copyto(b, 0.0, where=unfit)
+    np.copyto(abs_x, 1.0, where=unfit)
 
-    z = logit(a / np.maximum(a + b, EPS_DEG))
-    z_k = np.clip(np.where(fit, z, LOGIT_CLAMP), -LOGIT_CLAMP, LOGIT_CLAMP)
-
-    beta = np.maximum(a + b, 1.0)
-    excess = beta - 1.0
+    excess = np.add(a, b)  # beta - 1 for beta = max(a + b, 1)
+    excess /= abs_x
+    excess -= 1.0
+    np.maximum(excess, 0.0, out=excess)
     with np.errstate(divide="ignore"):
-        bl = np.log(np.expm1(np.minimum(excess, 30.0)))
+        z_k = np.log(a, out=a)
+        z_k -= np.log(b, out=b)
+    np.clip(z_k, -LOGIT_CLAMP, LOGIT_CLAMP, out=z_k)
+
+    bl = np.minimum(excess, 30.0, out=b)
+    np.expm1(bl, out=bl)
+    with np.errstate(divide="ignore"):
+        np.log(bl, out=bl)
     # softplus(x) == x to double precision for x > 30, so large betas pass
     # through unclamped and feasible targets are never truncated
-    bl = np.where(excess > 30.0, excess, bl)
-    bl = np.where(excess <= 0.0, -LOGIT_CLAMP, bl)
-    beta_logit = np.where(fit, bl, -LOGIT_CLAMP)
+    np.copyto(bl, excess, where=excess > 30.0)
+    np.copyto(bl, -LOGIT_CLAMP, where=excess <= 0.0)
 
-    neg = fit & (ratio.imag < 0.0)
-    q0 = np.where(neg, 1.0, 0.0)
-    q1 = np.where(neg, 0.0, 1.0)
-
-    return MaskLogits(z_k=z_k, z_notk=np.zeros_like(z_k),
-                      beta_logit=beta_logit, q0=q0, q1=q1)
+    # Im(Y/X) has the sign of Im(Y * conj(X)) = Im(Y) Re(X) - Re(Y) Im(X)
+    im = np.multiply(Yb.imag, Xb.real, out=abs_x)
+    im -= Yb.real * Xb.imag
+    np.copyto(im, 0.0, where=unfit)
+    q0 = np.less(im, 0.0).astype(np.float64)
+    return MaskLogits(z_k=z_k, z_notk=np.zeros_like(z_k), beta_logit=bl, q0=q0,
+                      q1=np.subtract(1.0, q0))
 
 
 def check_reverb_gain_db(reverb_gain_db: float) -> None:

@@ -392,12 +392,13 @@ def unet_forward(x: np.ndarray, weights: WeightSet, cfg: UNetConfig,
     return head(h, weights, counter)
 
 
-def split_head(head: np.ndarray):
-    """Split (10, T, F) head logits into the direct and noise MaskLogits,
-    each field a view of one channel (channel order = MaskLogits fields)."""
+def split_head(head: np.ndarray) -> MaskLogits:
+    """Decode (10, ...) head logits into one MaskLogits with a leading pair
+    axis (direct, noise): field i is the view ``head[i::5]`` of channels i
+    and i + 5 (channel order = MaskLogits fields, direct pair first)."""
     if head.shape[0] != HEAD_CHANNELS:
         raise ValueError(f"expected {HEAD_CHANNELS} head channels, got {head.shape[0]}")
-    return MaskLogits(*head[:5]), MaskLogits(*head[5:])
+    return MaskLogits(*(head[i::5] for i in range(5)))
 
 
 def features_to_tensor(features, cfg: UNetConfig, dtype) -> np.ndarray:

@@ -10,9 +10,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from scipy.special import expit
+
 from trimask import (MaskLogits, assemble_masks, count_ops, default_config,
                      emphasized_loss, fuse_batchnorm, istft, loss_gradient,
-                     magnitude_masks, measured_ops, multiscale_loss,
+                     measured_ops, multiscale_loss,
                      naive_infer, oracle_fit, oracle_reconstruct,
                      phase_distance, quadrangle_decompose, random_weights,
                      required_queues, sample_scenario, si_sdr, stft, write_wav)
@@ -27,6 +29,37 @@ def _report(name, detail):
     print(f"[acceptance] {name}: PASS ({detail})")
 
 
+def law_of_cosines_masks(logits: MaskLogits):
+    """Reference mask pair by the law-of-cosines route that the closed form
+    in ``trimask.masking`` replaced, kept here as its independent check.
+
+    sigma = expit(z_k - z_notk); beta = 1 + softplus(beta_logit), clipped
+    by 1/|2*sigma - 1| where that gap exceeds 1e-8; mag_k = beta*sigma and
+    mag_notk = beta - mag_k; cos = (1 + a^2 - b^2)/(2a) clipped to [-1, 1]
+    and sin = sqrt(1 - cos^2), with (1, 0) for sides below 1e-8; xi = -1
+    where q0 > q1. Returns (mask_k, mask_notk, mag_k, mag_notk, beta,
+    beta_raw).
+    """
+    sigma = expit(np.asarray(logits.z_k, dtype=np.float64) - logits.z_notk)
+    beta_raw = 1.0 + np.logaddexp(0.0, np.asarray(logits.beta_logit, dtype=np.float64))
+    gap = np.abs(2.0 * sigma - 1.0)
+    bound = np.where(gap > 1e-8, 1.0 / np.maximum(gap, 1e-8), np.inf)
+    beta = np.minimum(beta_raw, bound)
+    mag_k = beta * sigma
+    mag_notk = beta - mag_k
+    xi = np.where(np.asarray(logits.q0) > logits.q1, -1.0, 1.0)
+
+    def phase(a, b):
+        cos = np.clip((1.0 + a * a - b * b) / (2.0 * np.maximum(a, 1e-8)), -1.0, 1.0)
+        sin = np.sqrt(np.maximum(1.0 - cos * cos, 0.0))
+        return np.where(a < 1e-8, 1.0, cos), np.where(a < 1e-8, 0.0, sin)
+
+    cos_k, sin_k = phase(mag_k, mag_notk)
+    cos_notk, sin_notk = phase(mag_notk, mag_k)
+    return (mag_k * (cos_k + 1j * xi * sin_k), mag_notk * (cos_notk - 1j * xi * sin_notk),
+            mag_k, mag_notk, beta, beta_raw)
+
+
 def test_c1_phm_closure_fuzz():
     start = time.perf_counter()
     rng = np.random.default_rng(1)
@@ -35,12 +68,15 @@ def test_c1_phm_closure_fuzz():
         z_k=rng.uniform(-12, 12, shape), z_notk=rng.uniform(-12, 12, shape),
         beta_logit=rng.uniform(-12, 12, shape),
         q0=rng.uniform(-5, 5, shape), q1=rng.uniform(-5, 5, shape))
-    mag_k, mag_notk, beta = magnitude_masks(logits)
+    ref_k, ref_notk, mag_k, mag_notk, beta, _ = law_of_cosines_masks(logits)
     assert np.all(beta >= 1.0)
     assert np.all(np.abs(mag_k - mag_notk) <= 1.0 + 1e-9)
-    field = assemble_masks(logits)
-    closure = np.max(np.abs(field.mask_k + field.mask_notk - 1.0))
+    mask_k = assemble_masks(logits)
+    # the closed form's M_k closes the reference's triangle: its M_notk is
+    # built independently, from the other side's law of cosines
+    closure = np.max(np.abs(mask_k + ref_notk - 1.0))
     assert closure < 1e-6
+    assert np.max(np.abs(mask_k - ref_k)) < 1e-6
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
     _report("C1 closure fuzz", f"100k bins, max closure error {closure:.2e}, "
@@ -70,14 +106,15 @@ def test_c2_oracle_exactness():
         X = stft(truth.x, cfg)
         abs_x = np.abs(X.bins)
         active = abs_x > 1e-6
-        field_d = assemble_masks(oracle_fit(X, stft(truth.y_d, cfg)))
-        field_n = assemble_masks(oracle_fit(X, stft(truth.y_n, cfg)))
+        masks = np.empty((3, *X.bins.shape), dtype=complex)
+        for row, y in zip(masks[::2], (truth.y_d, truth.y_n)):
+            assemble_masks(oracle_fit(X, stft(y, cfg)), out=row)
         bounded = active
-        for f in (field_d, field_n):
-            bounded = bounded & (np.abs(f.mask_k) <= 4.0) & (np.abs(f.mask_notk) <= 4.0)
+        for mask_k in masks[::2]:
+            bounded = bounded & (np.abs(mask_k) <= 4.0) & (np.abs(1.0 - mask_k) <= 4.0)
         n_active += int(active.sum())
         n_bounded += int(bounded.sum())
-        est_d, est_r, est_n = quadrangle_decompose(X, field_d, field_n)
+        est_d, est_r, est_n = quadrangle_decompose(X, masks)
         for est, ref in ((est_d, truth.y_d), (est_r, truth.y_r), (est_n, truth.y_n)):
             err = np.abs(est.bins - stft(ref, cfg).bins)[bounded] / abs_x[bounded]
             worst_bin = max(worst_bin, float(err.max()))

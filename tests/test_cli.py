@@ -304,6 +304,13 @@ def test_oracle_check_zero_count_is_noop(capsys):
     assert "nothing to do" in capsys.readouterr().out
 
 
+def test_oracle_check_rejects_negative_count(capsys):
+    assert main(["oracle-check", "--count", "-2"]) == 2
+    captured = capsys.readouterr()
+    assert "--count must be >= 0, got -2" in captured.err
+    assert "nothing to do" not in captured.out
+
+
 def test_oracle_check_deterministic(capsys):
     assert main(["oracle-check", "--seed", "3", "--count", "1"]) == 0
     first = capsys.readouterr().out

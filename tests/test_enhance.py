@@ -225,12 +225,17 @@ def test_enhance_rejects_non_finite_head_logits(rt_setup, monkeypatch, mode):
         validated.append(self.shape)
         post_init(self)
 
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the mask stage ran on non-finite logits")
+
     monkeypatch.setattr(trimask.masking.MaskLogits, "__post_init__", counted)
+    monkeypatch.setattr(importlib.import_module("trimask.enhance"), "assemble_masks",
+                        unreachable)
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
         enhance(_band_limited_signal(7, n=9000), WeightSet(tensors), cfg, stft_cfg, mode=mode)
-    # the direct pair passes and the noise pair fails, each checked once over
-    # the whole grid rather than once per emitted frame
-    assert len(validated) == 2
+    # both pairs are checked once, together, over the call's whole grid rather
+    # than once per emitted frame, before the mask stage
+    assert len(validated) == 1 and validated[0][0] == 2
 
 
 def _cut_dec5_kernel_t(tensors):

@@ -194,34 +194,34 @@ def test_naive_infer_zero_weights_yields_head_bias():
         weights.tensors[name] = np.zeros_like(weights.tensors[name])
     weights.tensors["head.bias"] = np.arange(10.0)
     feats = np.random.default_rng(0).standard_normal((5, 65, 253))
-    ld, ln = split_head(naive_infer(feats, weights, cfg)[:, None])
-    assert np.all(ld.z_k == 0.0)
-    assert np.all(ld.z_notk == 1.0)
-    assert np.all(ld.beta_logit == 2.0)
-    assert np.all(ln.z_k == 5.0)
-    assert np.all(ln.q1 == 9.0)
+    lg = split_head(naive_infer(feats, weights, cfg)[:, None])  # pairs (direct, noise)
+    assert np.all(lg.z_k[0] == 0.0)
+    assert np.all(lg.z_notk[0] == 1.0)
+    assert np.all(lg.beta_logit[0] == 2.0)
+    assert np.all(lg.z_k[1] == 5.0)
+    assert np.all(lg.q1[1] == 9.0)
 
 
 def test_naive_infer_golden_regression():
     cfg = default_config()
     w = random_weights(cfg, 2024, dtype=np.float64)
     feats = np.random.default_rng(99).standard_normal((5, 65, 253))
-    ld, ln = split_head(naive_infer(feats, w, cfg)[:, None])
+    lg = split_head(naive_infer(feats, w, cfg)[:, None])
     idx = [0, 60, 126, 200, 252]
     np.testing.assert_allclose(
-        ld.z_k[0, idx],
+        lg.z_k[0, 0, idx],
         [-0.09423048, -0.13314445, -0.14248669, -0.1211255, -0.09773363],
         atol=1e-8)
     np.testing.assert_allclose(
-        ld.beta_logit[0, idx],
+        lg.beta_logit[0, 0, idx],
         [-0.05291313, -0.0417647, -0.03597686, -0.00485538, -0.06600226],
         atol=1e-8)
     np.testing.assert_allclose(
-        ln.q0[0, idx],
+        lg.q0[1, 0, idx],
         [0.02260099, 0.0496275, 0.05792757, 0.07894088, 0.03060892],
         atol=1e-8)
     np.testing.assert_allclose(
-        ln.z_notk[0, idx],
+        lg.z_notk[1, 0, idx],
         [0.08724839, 0.1552023, 0.10104855, 0.11228602, 0.06979832],
         atol=1e-8)
 
@@ -230,23 +230,24 @@ def test_naive_infer_head_linearity():
     cfg = default_config()
     w = random_weights(cfg, 5, dtype=np.float64)
     feats = np.random.default_rng(1).standard_normal((5, 65, 253))
-    base_d, base_n = split_head(naive_infer(feats, w, cfg)[:, None])
+    base = split_head(naive_infer(feats, w, cfg)[:, None])
     w2 = w.astype(np.float64)
     w2.tensors["head.weight"] = 2.0 * w2.tensors["head.weight"]
     w2.tensors["head.bias"] = 2.0 * w2.tensors["head.bias"]
-    doubled_d, doubled_n = split_head(naive_infer(feats, w2, cfg)[:, None])
-    assert np.allclose(doubled_d.z_k, 2.0 * base_d.z_k, atol=1e-12)
-    assert np.allclose(doubled_n.beta_logit, 2.0 * base_n.beta_logit, atol=1e-12)
+    doubled = split_head(naive_infer(feats, w2, cfg)[:, None])
+    assert np.allclose(doubled.z_k[0], 2.0 * base.z_k[0], atol=1e-12)
+    assert np.allclose(doubled.beta_logit[1], 2.0 * base.beta_logit[1], atol=1e-12)
 
 
 def test_identity_head_passes_mixture_to_direct():
     grids = np.tile(IDENTITY_HEAD[:, None, None], (1, 3, 7))
-    field_d, field_n = (assemble_masks(lg) for lg in split_head(grids))
-    assert np.all(field_d.mask_k == 1.0)
-    assert np.all(field_n.mask_k == 0.0)
+    stack = np.empty((3, 3, 7), dtype=complex)
+    assemble_masks(split_head(grids), out=stack[::2])
+    assert np.all(stack[0] == 1.0)
+    assert np.all(stack[2] == 0.0)
     rng = np.random.default_rng(0)
     X = rng.standard_normal((3, 7)) + 1j * rng.standard_normal((3, 7))
-    y_d, y_r, y_n = quadrangle_decompose(X, field_d, field_n)
+    y_d, y_r, y_n = quadrangle_decompose(X, stack)
     assert np.array_equal(y_d, X)
     assert np.all(y_r == 0.0)
     assert np.all(y_n == 0.0)
@@ -254,10 +255,11 @@ def test_identity_head_passes_mixture_to_direct():
 
 def test_split_head_returns_channel_views():
     head = np.arange(10.0 * 2 * 3).reshape(10, 2, 3)
-    ld, ln = split_head(head)
-    assert ld.shape == ln.shape == (2, 3)
-    assert np.shares_memory(ld.z_k, head) and np.shares_memory(ln.q1, head)
-    assert np.array_equal(ln.z_k, head[5])
+    lg = split_head(head)  # one leading pair axis: direct, noise
+    assert lg.shape == (2, 2, 3)
+    assert np.shares_memory(lg.z_k, head) and np.shares_memory(lg.q1, head)
+    assert np.array_equal(lg.z_k[1], head[5])
+    assert np.array_equal(lg.q1[0], head[4])
     with pytest.raises(ValueError, match="head channels"):
         split_head(head[:9])
 
