@@ -88,6 +88,7 @@ class StreamingEnhancer:
             self._state = StreamState(cfg, weights)  # validates them
         else:
             validate_weights(cfg, weights)
+            count_ops(cfg)  # a network the stream plan cannot schedule fails here
             # the last in_frames - 1 feature frames, (C, F, T)
             self._history = np.zeros((FEATURE_CHANNELS, cfg.in_bins, 0), dtype=weights.dtype)
         bins = stft_cfg.bin_count - stft_cfg.discard_low_bins
@@ -201,8 +202,6 @@ def enhance(signal, weights: WeightSet, cfg: UNetConfig, stft_cfg: StftConfig,
     """
     x = as_samples(signal)
     engine = StreamingEnhancer(weights, cfg, stft_cfg, mode, reverb_gain_db, drc)
-    # before any audio: a network the stream plan cannot schedule fails here
-    count_ops(cfg)
     # the last block ends the stream in the same call, so that its frames
     # awaiting heads share its mask stage
     blocks = np.split(x, range(_BLOCK_FRAMES * stft_cfg.hop_size, len(x),

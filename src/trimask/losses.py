@@ -39,30 +39,33 @@ def cos_sim_loss(y, yhat) -> float:
                                   * (np.linalg.norm(b) + EPS_NORM)))
 
 
-def multiscale_loss(y, yhat) -> float:
-    """Sum over scales of the per-segment mean cosine-similarity loss.
+def _segments(a: np.ndarray, b: np.ndarray):
+    """Per scale that fits a full segment: the segments of ``a`` and ``b``
+    as (m, g) views, their dot products, ``a``'s norms plus EPS_NORM and
+    ``b``'s raw norms.
 
     Each scale slices the signals into contiguous non-overlapping segments
-    of length g_j; a trailing remainder shorter than g_j is dropped, and a
-    scale with no full segment contributes nothing. Errors out if no scale
-    fits a single full segment.
+    of length g; a trailing remainder shorter than g is dropped, and a scale
+    with no full segment is skipped. Errors out if no scale fits one.
     """
-    a, b = _pair(y, yhat)
-    total = 0.0
-    any_scale = False
+    if len(a) < min(SEGMENT_LENGTHS):
+        raise ValueError("no full segment at any scale")
     for g in SEGMENT_LENGTHS:
         m = len(a) // g
         if m == 0:
             continue
-        any_scale = True
         ya = a[: m * g].reshape(m, g)
         yb = b[: m * g].reshape(m, g)
-        dots = np.einsum("ij,ij->i", ya, yb)
-        na = np.linalg.norm(ya, axis=1) + EPS_NORM
-        nb = np.linalg.norm(yb, axis=1) + EPS_NORM
-        total += float(np.mean(-dots / (na * nb)))
-    if not any_scale:
-        raise ValueError("no full segment at any scale")
+        yield (ya, yb, np.einsum("ij,ij->i", ya, yb),
+               np.linalg.norm(ya, axis=1) + EPS_NORM, np.linalg.norm(yb, axis=1))
+
+
+def multiscale_loss(y, yhat) -> float:
+    """Sum over scales of the per-segment mean cosine-similarity loss
+    (segments as ``_segments`` slices them)."""
+    total = 0.0
+    for _, _, dots, na, nb_raw in _segments(*_pair(y, yhat)):
+        total += float(np.mean(-dots / (na * (nb_raw + EPS_NORM))))
     return total
 
 
@@ -97,14 +100,19 @@ def _mu_law_grad(u: np.ndarray) -> np.ndarray:
     return np.where(np.abs(u) > 1.0, 0.0, g)
 
 
-def emphasized_loss(y, yhat) -> float:
-    """Multi-scale loss on raw, pre-emphasized, and companded pre-emphasized pairs."""
+def _emphasized_pairs(y, yhat):
+    """The (truth, estimate) pairs that emphasized_loss scores: raw,
+    pre-emphasized, and mu-law companded pre-emphasized."""
     a, b = _pair(y, yhat)
     pa = pre_emphasis(a).samples
     pb = pre_emphasis(b).samples
-    return (multiscale_loss(a, b)
-            + multiscale_loss(pa, pb)
-            + multiscale_loss(mu_law(pa).samples, mu_law(pb).samples))
+    return (a, b), (pa, pb), (mu_law(pa).samples, mu_law(pb).samples)
+
+
+def emphasized_loss(y, yhat) -> float:
+    """Multi-scale loss on raw, pre-emphasized, and companded pre-emphasized pairs."""
+    raw, emph, mu = _emphasized_pairs(y, yhat)
+    return multiscale_loss(*raw) + multiscale_loss(*emph) + multiscale_loss(*mu)
 
 
 def final_loss(components: dict, mixture) -> float:
@@ -129,34 +137,18 @@ def final_loss(components: dict, mixture) -> float:
 def _multiscale_grad(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """d multiscale_loss(a, b) / d b."""
     grad = np.zeros_like(b)
-    for g in SEGMENT_LENGTHS:
-        m = len(a) // g
-        if m == 0:
-            continue
-        ya = a[: m * g].reshape(m, g)
-        yb = b[: m * g].reshape(m, g)
-        dots = np.einsum("ij,ij->i", ya, yb)
-        nb_raw = np.linalg.norm(yb, axis=1)
-        na = np.linalg.norm(ya, axis=1) + EPS_NORM
+    for ya, yb, dots, na, nb_raw in _segments(a, b):
         nb = nb_raw + EPS_NORM
         # dC/dyb = -ya/(na*nb) + dot * (yb/nb_raw) / (na*nb^2)
         unit_b = np.where(nb_raw[:, None] > 0.0, yb / np.maximum(nb_raw, 1e-300)[:, None], 0.0)
         seg_grad = (-ya / (na * nb)[:, None]
                     + (dots / (na * nb * nb))[:, None] * unit_b)
-        grad[: m * g] += (seg_grad / m).reshape(-1)
+        grad[: yb.size] += (seg_grad / len(yb)).reshape(-1)
     return grad
 
 
 def loss_gradient(y, yhat) -> np.ndarray:
     """Analytic gradient of emphasized_loss with respect to the estimate."""
-    a, b = _pair(y, yhat)
-    pa = pre_emphasis(a).samples
-    pb = pre_emphasis(b).samples
-    ma = mu_law(pa).samples
-    mb = mu_law(pb).samples
-
-    grad = _multiscale_grad(a, b)
-    grad += _pre_emphasis_adjoint(_multiscale_grad(pa, pb))
-    g_mu = _multiscale_grad(ma, mb) * _mu_law_grad(pb)
-    grad += _pre_emphasis_adjoint(g_mu)
-    return grad
+    (a, b), (pa, pb), (ma, mb) = _emphasized_pairs(y, yhat)
+    return (_multiscale_grad(a, b) + _pre_emphasis_adjoint(_multiscale_grad(pa, pb))
+            + _pre_emphasis_adjoint(_multiscale_grad(ma, mb) * _mu_law_grad(pb)))

@@ -63,12 +63,14 @@ def assemble_masks(logits: MaskLogits, out: np.ndarray | None = None) -> np.ndar
     """M_k of every pair in ``logits``, as a complex array of its shape,
     written into ``out`` (which may be a strided view) if one is given.
 
-    sigma = sigmoid(z_k - z_notk), so 2*sigma - 1 = tanh((z_k - z_notk)/2);
-    beta = 1 + softplus(beta_logit), clipped from above by
-    1/|2*sigma - 1| so that |d| <= 1, the triangle inequality; xi = -1
-    where q0 > q1 and +1 otherwise (ties +1). Where beta was clipped,
-    |d| == 1 exactly and the triangle is collinear: the imaginary part is
-    exactly 0. The complement is M_notk = 1 - M_k.
+    sigma = sigmoid(z_k - z_notk), so t = 2*sigma - 1 = tanh((z_k - z_notk)/2);
+    beta = 1 + s with s = softplus(beta_logit), clipped from above so that
+    |d| <= 1, the triangle inequality. The clip is decided once, from
+    u = (1 + s)*t: d = clip(u, -1, 1) and beta = (1 + s)/max(1, |u|), which
+    is min(1 + s, 1/|t|) without a division by |t|. xi = -1 where q0 > q1
+    and +1 otherwise (ties +1). Where beta was clipped, |d| == 1 exactly and
+    the triangle is collinear: the imaginary part is exactly 0. The
+    complement is M_notk = 1 - M_k.
     """
     shape = logits.shape
     if out is None:
@@ -86,29 +88,30 @@ def assemble_masks(logits: MaskLogits, out: np.ndarray | None = None) -> np.ndar
     np.log1p(s, out=s)
     d = np.maximum(bl, 0.0, dtype=np.float64)
     s += d
-    # d = beta*(2*sigma - 1) for the clipped beta: beta_raw*t, clipped to [-1, 1]
+    # u = beta_raw*t; the clip: d = clip(u, -1, 1), beta = beta_raw/max(1, |u|)
     np.multiply(s, t, out=d)
     d += t
+    shrink = np.abs(d, out=t)
+    np.maximum(shrink, 1.0, out=shrink)
     np.clip(d, -1.0, 1.0, out=d)
-    # imaginary part: xi*sqrt((1 - d)*(1 + d)*s*(2 + s))/2, with beta^2 - 1 =
-    # s*(2 + s) for the unclipped beta; where beta was clipped, 1 - d == 0 or
+    # imaginary part: xi*sqrt((1 - d)*(1 + d)*s)*sqrt(2 + s)/2, with
+    # beta^2 - 1 = s*(2 + s) for the unclipped beta, split over two roots so
+    # that no product exceeds s; where beta was clipped, 1 - d == 0 or
     # 1 + d == 0 makes it exactly 0
     re, im = out.real, out.imag
     h = np.subtract(1.0, d)
     np.add(d, 1.0, out=im)
     h *= im
     h *= s
-    np.add(s, 2.0, out=im)
-    h *= im
     np.sqrt(h, out=h)
+    np.add(s, 2.0, out=im)
+    np.sqrt(im, out=im)
+    h *= im
     np.multiply(h, 0.5, out=im)
     np.negative(im, out=im, where=np.greater(logits.q0, logits.q1))
-    # real part: (1 + beta*d)/2 with beta = min(1 + s, 1/|2*sigma - 1|)
-    np.abs(t, out=t)
-    with np.errstate(divide="ignore"):
-        np.reciprocal(t, out=t)
+    # real part: (1 + beta*d)/2
     s += 1.0
-    np.minimum(s, t, out=s)
+    s /= shrink
     s *= d
     s += 1.0
     np.multiply(s, 0.5, out=re)

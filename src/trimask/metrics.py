@@ -27,7 +27,8 @@ def phase_distance(A, B) -> float:
         raise ValueError("undefined weights: reference spectrogram is all zero")
     angles = np.abs(np.angle(a * np.conj(b)))
     angles = np.where(np.abs(b) == 0.0, 0.0, angles)
-    return float(np.sum(mag / total * angles) * 180.0 / math.pi)
+    # a weighted mean of angles in [0, pi] can round just past 180 degrees
+    return min(float(np.sum(mag / total * angles) * 180.0 / math.pi), 180.0)
 
 
 def si_sdr(reference, estimate) -> float:

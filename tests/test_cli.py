@@ -210,15 +210,17 @@ def test_metrics_identical_files(tmp_path, capsys):
 
 
 def test_metrics_polarity_flip_pd_180(tmp_path, capsys):
-    truth = sample_scenario(5)
-    ref = tmp_path / "ref.wav"
-    est = tmp_path / "est.wav"
-    write_wav(ref, truth.x.samples[:8000])
-    write_wav(est, -truth.x.samples[:8000])
-    rc = main(["metrics", "--reference", str(ref), "--estimate", str(est), "--json"])
-    assert rc == 0
-    data = json.loads(capsys.readouterr().out)
-    assert data["phase_distance_deg"] == pytest.approx(180.0, abs=1e-6)
+    # scenario 1's weighted mean angle rounds past 180 degrees unclamped
+    for scenario in (5, 1):
+        truth = sample_scenario(scenario)
+        ref = tmp_path / "ref.wav"
+        est = tmp_path / "est.wav"
+        write_wav(ref, truth.x.samples[:8000])
+        write_wav(est, -truth.x.samples[:8000])
+        rc = main(["metrics", "--reference", str(ref), "--estimate", str(est), "--json"])
+        assert rc == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["phase_distance_deg"] == pytest.approx(180.0, abs=1e-6)
 
 
 def test_metrics_20db_orthogonal_pair(tmp_path, capsys):

@@ -317,9 +317,12 @@ def test_enhance_rejects_unschedulable_network_before_stft(monkeypatch, mode):
     cfg = UNetConfig(encoder=(ConvSpec(3, 1, 1, 2, 4),), decoder_channels=(4,), in_bins=9,
                      in_frames=65, lookahead_frames=1)
     x = np.random.default_rng(0).standard_normal(4000)
+    weights = random_weights(cfg, 0, dtype=np.float64)
     with pytest.raises(ValueError, match="no contributors"):
-        enhance(x, random_weights(cfg, 0, dtype=np.float64), cfg, StftConfig(16, 4),
-                mode=mode)
+        enhance(x, weights, cfg, StftConfig(16, 4), mode=mode)
+    # the engine itself refuses it in either mode, before any audio
+    with pytest.raises(ValueError, match="no contributors"):
+        StreamingEnhancer(weights, cfg, StftConfig(16, 4), mode=mode)
 
 
 def _stream(engine, x, cuts):

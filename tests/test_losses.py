@@ -57,8 +57,9 @@ def test_multiscale_drops_trailing_remainder():
 
 
 def test_multiscale_errors_when_no_scale_fits():
-    with pytest.raises(ValueError, match="no full segment"):
-        multiscale_loss(np.ones(100), np.ones(100))
+    for loss in (multiscale_loss, emphasized_loss, loss_gradient):
+        with pytest.raises(ValueError, match="no full segment"):
+            loss(np.ones(100), np.ones(100))
 
 
 def test_multiscale_scale_invariance():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import logit as scipy_logit
 
 from trimask import (MaskLogits, assemble_masks, oracle_fit, quadrangle_decompose, remix,
@@ -161,6 +161,8 @@ _LOGIT = st.floats(-12.0, 12.0, allow_nan=False)
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(*[_LOGIT] * 5), min_size=1, max_size=64),
        st.integers(1, 4), st.integers(1, 5))
+# z_k - z_notk subnormal: 1/|2*sigma - 1| would overflow
+@example(bins=[(0.0, 2.2250738585072014e-309, 0.0, 0.0, 0.0)], frames=1, width=1)
 def test_closed_form_matches_law_of_cosines_reference(bins, frames, width):
     logits = MaskLogits(*np.array(bins).T)
     mask_k = assemble_masks(logits)
@@ -175,6 +177,15 @@ def test_closed_form_matches_law_of_cosines_reference(bins, frames, width):
                                                  (1, frames, width))))
     assert np.all(identity[0] == 1.0 + 0.0j) and np.all(identity[1] == 0.0j)
     assert not np.any(np.signbit(identity.imag))
+
+
+def test_assemble_masks_extreme_beta_logit_stays_finite():
+    # unclipped beta = 1 + 1e300 at sigma = 0.5: beta^2 - 1 overflows as a
+    # product, but the imaginary part sqrt(s*(2 + s))/2 is about 5e299
+    s = 1e300
+    mask_k = assemble_masks(_logits(beta_logit=s))[0, 0]
+    assert mask_k.real == 0.5
+    assert mask_k.imag == pytest.approx(math.sqrt(s) * math.sqrt(2.0 + s) / 2.0, rel=1e-12)
 
 
 def test_xi_flip_conjugates_masks():
