@@ -6,7 +6,7 @@ of the untrimmed (3, T, F) synthesis stack -> quadrangle decomposition in
 place -> istft of the stack -> remix (optionally compressed).
 :class:`StreamingEnhancer` runs these stages on whatever samples each call
 brings, vectorised over the call's frames, and carries only what later
-samples need: the analysis tail, the last frame's phase, the backend's
+samples need: the analysis tail, the last complex frame, the backend's
 history, the frames still awaiting their heads, the one overlap-add carry
 of the three components and the compressor's follower.
 :func:`enhance` feeds a whole signal through it in fixed blocks, so its
@@ -28,7 +28,7 @@ import numpy as np
 from . import spectral
 from .dynamics import DrcConfig, DrcState, compress
 from .masking import assemble_masks, check_reverb_gain_db, quadrangle_decompose, remix
-from .opcount import count_ops
+from .opcount import count_ops  # unused, but perfbench/tracer.py's install looks it up
 from .streaming import StreamState, stream_push
 from .types import FEATURE_CHANNELS, ComplexSpectrogram, SignalBuffer, as_samples
 from .unet import (IDENTITY_HEAD, UNetConfig, WeightSet, features_to_tensor, split_head,
@@ -88,7 +88,6 @@ class StreamingEnhancer:
             self._state = StreamState(cfg, weights)  # validates them
         else:
             validate_weights(cfg, weights)
-            count_ops(cfg)  # a network the stream plan cannot schedule fails here
             # the last in_frames - 1 feature frames, (C, F, T)
             self._history = np.zeros((FEATURE_CHANNELS, cfg.in_bins, 0), dtype=weights.dtype)
         bins = stft_cfg.bin_count - stft_cfg.discard_low_bins
@@ -100,7 +99,7 @@ class StreamingEnhancer:
         self.frames_emitted = 0
         self._flushed = False
         self._buf = np.zeros(0)  # input from the first sample of frame `frames_total`
-        self._prev_phase = None
+        self._prev_frame = None
         self._pending = np.zeros((0, bins), dtype=complex)  # frames awaiting heads
         self._ola = spectral.OverlapAdd(stft_cfg)
         self._drc_state = DrcState()
@@ -137,8 +136,8 @@ class StreamingEnhancer:
         pending = self._pending
         if n1 > n0:
             spec = spectral.trim_low_bins(spectral.stft(buf, stft_cfg), n_trim)
-            feats = spectral.extract_features(spec, stft_cfg, n0, self._prev_phase)
-            self._prev_phase = np.angle(spec.bins[-1])
+            feats = spectral.extract_features(spec, stft_cfg, n0, self._prev_frame)
+            self._prev_frame = spec.bins[-1].copy()
             self.frames_total = n1
             self._run_backend(feats, n0, grid, r0 + la)
             pending = np.concatenate([pending, spec.bins]) if len(pending) else spec.bins

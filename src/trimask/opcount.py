@@ -122,5 +122,5 @@ def measured_ops(cfg: UNetConfig):
         stream_push(rng.standard_normal(frame).astype(weights.dtype), state)
     before = dict(state.op_counter)
     stream_push(rng.standard_normal(frame).astype(weights.dtype), state)
-    per_push = {k: v - before.get(k, 0) for k, v in state.op_counter.items()}
+    per_push = {k: state.op_counter.get(k, 0) - before.get(k, 0) for k in naive_counts}
     return naive_counts, per_push

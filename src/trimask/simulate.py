@@ -117,6 +117,8 @@ class ScenarioRanges:
         check_fields(self, int, "segment_samples")
         if self.snr_db[0] >= self.snr_db[1]:
             raise ValueError("snr_db must be (low, high) with low < high")
+        if self.segment_samples < 1:
+            raise ValueError(f"segment_samples must be >= 1, got {self.segment_samples}")
 
 
 def _dry_source(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -161,7 +163,7 @@ def sample_scenario(seed: int, ranges: ScenarioRanges = ScenarioRanges(),
     t60 = drawn_t60 if t60 is None else float(t60)
     n = ranges.segment_samples
     params = RirParams(direct_delay=int(rng.integers(8, 64)), t60=t60,
-                       tail_length=min(int(t60 * SAMPLE_RATE), 12000),
+                       tail_length=min(max(int(t60 * SAMPLE_RATE), 1), 12000),
                        seed=int(rng.integers(0, 2**31 - 1)))
     h_d, h_r = synth_rir(params)
     dry = _dry_source(rng, n)

@@ -12,8 +12,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .types import (ComplexSpectrogram, SignalBuffer, as_samples, bins_of, check_fields,
-                    spectrogram_like)
+from .types import (FEATURE_CHANNELS, ComplexSpectrogram, SignalBuffer, as_samples, bins_of,
+                    check_fields, spectrogram_like)
 
 EPS_MAG = 1e-7  # magnitude floor before the log
 
@@ -29,8 +29,8 @@ class StftConfig:
         if min(self.window_size, self.hop_size) < 1 or self.window_size % self.hop_size:
             raise ValueError("window_size and hop_size must be >= 1, and hop_size must "
                              "divide window_size")
-        if self.discard_low_bins < 0:
-            raise ValueError("discard_low_bins must be >= 0")
+        if not 0 <= self.discard_low_bins < self.bin_count:
+            raise ValueError(f"discard_low_bins must be in [0, {self.bin_count})")
 
     @property
     def bin_count(self) -> int:
@@ -44,6 +44,16 @@ class StftConfig:
         win = np.ones(1) if n == 1 else 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1))[:n]
         win.flags.writeable = False
         return win
+
+    @cached_property
+    def demodulation(self) -> np.ndarray:
+        """exp(-2*pi*i * ((hop_size * t * f) mod window_size) / window_size), read-only,
+        for every physical bin f and t below window_size // hop_size, the period in frames."""
+        n, hop = self.window_size, self.hop_size
+        cycles = hop * np.arange(n // hop)[:, None] * np.arange(self.bin_count) % n
+        table = np.exp(-2j * np.pi / n * cycles)
+        table.flags.writeable = False
+        return table
 
     def frame_count(self, n_samples: int) -> int:
         if n_samples < self.window_size:
@@ -172,55 +182,42 @@ def restore_low_bins(spec, n: int):
     return spectrogram_like(spec, np.concatenate([pad, bins], axis=-1))
 
 
-def _wrap_phase(x: np.ndarray) -> np.ndarray:
-    # wraps into (-pi, pi]
-    return -(np.mod(np.pi - x, 2.0 * np.pi) - np.pi)
-
-
 def extract_features(spec: ComplexSpectrogram, cfg: StftConfig, first_frame: int = 0,
-                     prev_phase: np.ndarray | None = None) -> np.ndarray:
-    """The (5, T, F) float64 input feature stack of a (trimmed) spectrogram.
+                     prev_frame: np.ndarray | None = None) -> np.ndarray:
+    """The (5, T, F) float64 input features of a (trimmed) spectrogram.
 
-    Trimming drops only the lowest bins, so bin ``f`` of an ``n``-bin grid
-    is physical bin ``cfg.bin_count - n + f``; a grid wider than the STFT's
-    ``cfg.bin_count`` bins is a ValueError.
-
-    ch0: log(|X| + eps); ch1/ch2: cos/sin of the demodulated phase, where
-    demodulation removes the expected per-frame advance
-    2*pi*f*hop/window_size of each bin's physical frequency; ch3: group delay
-    (wrapped backward difference along f, first column zero); ch4:
-    delta-phase (wrapped backward difference along t, first row zero).
-    Zero-magnitude bins take phase 0, so their demodulated phase is 0.
-
-    A spectrogram that continues a stream passes the stream index of its
-    first frame (``first_frame``, for the demodulation) and the phase of
-    the frame before it (``prev_phase``, for ch4's first row); the features
-    then equal those rows of a whole-signal call.
+    Bin ``f`` of an ``n``-bin grid is physical bin ``cfg.bin_count - n + f``
+    (trimming drops only the lowest bins); a wider grid is a ValueError.
+    Phase is read as unit phasors u = X/|X| (1 where X = 0). ch0 is
+    log(|X| + eps); ch1/ch2 are u times its frame's row of
+    ``cfg.demodulation`` (zero bins keep 1 + 0j); ch3 and ch4 are the angles,
+    in (-pi, pi], of u times the conjugate of the bin below and of the frame
+    before (first column and first row zero). A block that continues a stream
+    passes its first frame's stream index and the complex frame before it;
+    its features then equal those rows of a whole-signal call bit for bit.
     """
     n_frames, n_bins = spec.bins.shape
     if n_bins > cfg.bin_count:
         raise ValueError(f"spectrogram has {n_bins} bins, more than the {cfg.bin_count} "
                          f"of its STFT")
     mag = np.abs(spec.bins)
-    phase = np.angle(spec.bins)
+    u = np.divide(spec.bins, mag, out=np.ones_like(spec.bins), where=mag > 0.0)
+    feats = np.empty((FEATURE_CHANNELS, n_frames, n_bins))
+    np.log(mag + EPS_MAG, out=feats[0])
+    feats[3, :, 0] = feats[4, :1] = 0.0
+    pairs = [(feats[3, :, 1:], u[:, 1:], u[:, :-1]), (feats[4, 1:], u[1:], u[:-1])]
+    if prev_frame is not None and n_frames:
+        prev_mag = np.abs(prev_frame)
+        pairs.append((feats[4, 0], u[0], np.divide(prev_frame, prev_mag, where=prev_mag > 0.0,
+                                                   out=np.ones_like(prev_frame))))
+    # np.multiply, not `*`: `*` may reuse a large temporary operand with the
+    # operands swapped, and a complex product rounds differently that way
+    for out, a, b in pairs:
+        out[...] = np.angle(np.multiply(a, np.conj(b)))
+    feats[3:][feats[3:] == -np.pi] = np.pi  # a real bin's sign flip is -1 - 0j, at angle -pi
 
-    ch0 = np.log(mag + EPS_MAG)
-
-    f_phys = np.arange(cfg.bin_count - n_bins, cfg.bin_count)
-    # whole cycles go in integers, t first, so rounding does not grow with t
-    t_idx = np.arange(first_frame, first_frame + n_frames) % cfg.window_size
-    ramp = 2.0 * np.pi / cfg.window_size * (np.outer(cfg.hop_size * t_idx, f_phys)
-                                            % cfg.window_size)
-    demod = _wrap_phase(phase - ramp)
-    demod = np.where(mag == 0.0, 0.0, demod)
-    ch1 = np.cos(demod)
-    ch2 = np.sin(demod)
-
-    ch3 = np.zeros_like(phase)
-    ch3[:, 1:] = _wrap_phase(phase[:, 1:] - phase[:, :-1])
-    ch4 = np.zeros_like(phase)
-    ch4[1:, :] = _wrap_phase(phase[1:, :] - phase[:-1, :])
-    if prev_phase is not None and n_frames:
-        ch4[0] = _wrap_phase(phase[0] - prev_phase)
-
-    return np.stack([ch0, ch1, ch2, ch3, ch4])
+    table = cfg.demodulation[:, cfg.bin_count - n_bins:]
+    np.multiply(u, table[(first_frame + np.arange(n_frames)) % len(table)], out=u)
+    u[mag == 0.0] = 1.0
+    feats[1], feats[2] = u.real, u.imag
+    return feats

@@ -62,7 +62,7 @@ class _DecoderStep:
     """One decoder layer's per-push work: its output frames' real taps."""
     layer: int                 # 1-based decoder layer
     inputs: tuple              # window indices of the input frames, ascending, contiguous
-    taps: tuple                # per output frame, ascending: tuple of (in_idx, kernel_tap)
+    taps: tuple                # per output frame, ascending: tuple of (in_idx, kernel_tap), or ()
     level: int                 # encoder level read: the bottleneck for dec1, else the skip
     read: slice                # that level's queue rows holding the frames at `inputs`
 
@@ -92,8 +92,6 @@ class StreamPlan:
             for p in sorted(needed):
                 lo = max(0, -(-(p - kt + 1) // st))  # ceil
                 hi = min(dec_T[j - 1] - 1, p // st)
-                if lo > hi:
-                    raise ValueError(f"dec{j}: output frame {p} has no contributors")
                 taps.append(tuple((q, p - q * st) for q in range(lo, hi + 1)))
             needed = {q for row in taps for q, _ in row}  # contiguous: rows overlap or abut
             steps.insert(0, (j, tuple(sorted(needed)), tuple(taps)))
@@ -106,6 +104,7 @@ class StreamPlan:
         reads = [(l, (spec.kernel_t - 1) * self.lattice[l], 0)
                  for l, spec in enumerate(cfg.encoder)]
         reads += [(L - j + 1, lookback(L - j + 1, inputs[0]), lookback(L - j + 1, inputs[-1]))
+                  if inputs else (L - j + 1, 0, 1)  # no input frames: an empty slice
                   for j, inputs, _ in steps]
         self.capacity = [1 + max(old for l, old, _ in reads if l == level)
                          for level in range(L + 1)]
@@ -223,6 +222,8 @@ def _compile_decoder(state: StreamState, step: _DecoderStep, x: np.ndarray,
     contrib = np.zeros((frames, kf, O, pf), dtype=w.dtype)
     gemms = []
     for row, c in zip(step.taps, contrib):
+        if not row:  # no input reaches this frame: its contribution rows stay zero
+            continue
         first, n = order.index(row[0][1]) * C, len(row) * C
         a = row[0][0] - step.inputs[0]
         gemms.append((packed[:, first : first + n], x[a : a + len(row)].reshape(n, F),

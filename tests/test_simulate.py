@@ -38,6 +38,15 @@ def test_rir_vanishing_t60_silences_tail():
     assert float(np.dot(h_r, h_r)) < 1e-10
 
 
+def test_scenario_vanishing_t60_silences_the_tail():
+    # t60 = 5e-5 s is under one sample: the tail keeps its one sample, silenced
+    truth = sample_scenario(0, t60=5e-5)
+    assert truth.t60 == 5e-5
+    assert float(np.dot(truth.y_r.samples, truth.y_r.samples)) < 1e-20
+    assert np.array_equal(truth.x.samples, truth.y_d.samples + truth.y_r.samples
+                          + truth.y_n.samples)
+
+
 def test_rir_param_validation():
     with pytest.raises(ValueError):
         RirParams(t60=0.0)
@@ -155,5 +164,6 @@ def test_scenario_ranges_validation():
                 [0.1, 0.5], 0.5):
         with pytest.raises(ValueError, match="snr_db"):
             ScenarioRanges(snr_db=bad)
-    with pytest.raises(ValueError, match="segment_samples"):
-        ScenarioRanges(segment_samples=6400.0)
+    for bad in (6400.0, 0, -3):
+        with pytest.raises(ValueError, match="segment_samples"):
+            ScenarioRanges(segment_samples=bad)

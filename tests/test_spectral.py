@@ -228,6 +228,49 @@ def test_features_zero_spectrogram_conventions():
     assert np.all(ch[4] == 0.0)
 
 
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(preset=st.sampled_from(sorted(PRESETS)), split=st.integers(0, 40),
+       first=st.sampled_from([0, 3, 10**8 - 1, 10**8]))
+def test_features_continued_at_any_frame_equal_the_whole_signal_rows(preset, split, first):
+    cfg = PRESETS[preset]
+    x = np.random.default_rng(split).standard_normal(cfg.window_size + 40 * cfg.hop_size)
+    x[: cfg.window_size] = 0.0  # zero bins in the first frame
+    spec = trim_low_bins(stft(x, cfg), cfg.discard_low_bins)
+    whole = extract_features(spec, cfg, first)
+    head = extract_features(ComplexSpectrogram(spec.bins[:split]), cfg, first)
+    tail = extract_features(ComplexSpectrogram(spec.bins[split:]), cfg, first + split,
+                            spec.bins[split - 1] if split else None)
+    assert np.concatenate([head, tail], axis=1).tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("cfg", [RT_PRESET, NRT_PRESET])
+def test_features_phase_differences_lie_in_the_half_open_interval(cfg):
+    # the Nyquist bin is real, so where its sign flips between frames the
+    # phasor product is -1 - 0j or -1 + 0j, whose np.angle is -pi or pi
+    spec = stft(np.random.default_rng(13).standard_normal(cfg.window_size + 200 * cfg.hop_size),
+                cfg)
+    nyquist = spec.bins[:, -1] / np.abs(spec.bins[:, -1])
+    assert np.any(np.angle(nyquist[1:] * nyquist[:-1].conj()) == -np.pi)
+    deltas = extract_features(spec, cfg)[3:]
+    assert np.all((deltas > -np.pi) & (deltas <= np.pi))
+    assert np.any(deltas[1, :, -1] == np.pi)
+
+
+def test_stftconfig_demodulation_table_is_cached_and_outside_equality():
+    for cfg in (RT_PRESET, NRT_PRESET, StftConfig(255, 5), StftConfig(1, 1)):
+        table = cfg.demodulation
+        assert table is cfg.demodulation
+        assert table.shape == (cfg.window_size // cfg.hop_size, cfg.bin_count)
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
+        t, f = np.arange(len(table))[:, None], np.arange(cfg.bin_count)
+        ramp = 2 * np.pi / cfg.window_size * (cfg.hop_size * t * f % cfg.window_size)
+        assert np.allclose(table, np.exp(-1j * ramp), rtol=0, atol=1e-15)
+        twin = StftConfig(cfg.window_size, cfg.hop_size, cfg.discard_low_bins)
+        assert twin == cfg and hash(twin) == hash(cfg)
+        assert "demodulation" not in twin.__dict__
+
+
 def test_features_derive_physical_bins_from_the_width():
     # trimming twice drops the same low bins as trimming once
     spec = stft(np.random.default_rng(10).standard_normal(4096), RT_PRESET)
@@ -275,7 +318,9 @@ def test_stftconfig_validation():
         StftConfig(window_size=512, hop_size=100)
     for match, args in [("hop_size", (512, 0)), ("hop_size", (512, -128)),
                         ("window_size", (0, 128)), ("'window_size'", (512.0, 128)),
-                        ("'hop_size'", (512, "128")), ("'discard_low_bins'", (512, 128, 4.0))]:
+                        ("'hop_size'", (512, "128")), ("'discard_low_bins'", (512, 128, 4.0)),
+                        ("discard_low_bins", (512, 128, 257)), ("discard_low_bins", (512, 128, -1)),
+                        ("discard_low_bins", (1, 1, 1))]:
         with pytest.raises(ValueError, match=match):
             StftConfig(*args)
     assert RT_PRESET.bin_count == 257

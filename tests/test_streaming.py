@@ -296,7 +296,8 @@ def test_stream_matches_naive_on_varied_architectures(strides, kernels_t, lookah
 def _random_mirrored_config(draw):
     depth = draw(st.integers(1, 3))
     strides = [draw(st.integers(1, 3)) for _ in range(depth)]
-    kernels_t = [draw(st.integers(s, 4)) for s in strides]
+    # kernel_t below stride_t leaves decoder frames that only their bias reaches
+    kernels_t = [draw(st.integers(1, 4)) for _ in strides]
     cfg = _mirrored_config(strides, kernels_t, 0, stride_f=draw(st.integers(1, 4)),
                            kernel_f=draw(st.integers(1, 6)))
     lookahead = draw(st.integers(0, cfg.in_frames - 1))
