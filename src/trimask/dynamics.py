@@ -10,7 +10,8 @@ depends only on inputs <= n.
 
 A signal may be compressed in consecutive blocks through one
 :class:`DrcState`; the blocks' outputs then equal one whole-signal call
-bit for bit.
+bit for bit. A call runs in fixed chunks through that state itself, so its
+memory beyond the output does not grow with the signal's length.
 """
 
 from __future__ import annotations
@@ -24,6 +25,12 @@ from .types import SignalBuffer, as_samples, check_fields
 
 _ENV_FLOOR = 1e-30
 _POWER_WINDOW = 32  # 2 ms at 16 kHz, causal
+# Samples per chunk of one call. On 20 s of noise (2 vCPUs), chunks of 2048, 4096,
+# 8192, 16384, 32768 and 65536 samples took a median 39.7, 37.9, 39.1, 37.7,
+# 35.9 and 36.5 ms, and one whole-signal pass 50.9 ms; the tracemalloc peak
+# beyond the 2.4 MiB result was 0.31, 0.41, 0.82, 1.63, 3.27, 6.54 and
+# 31.8 MiB. 16384 is one rt engine block.
+_CHUNK = 16384
 
 
 @dataclass(frozen=True)
@@ -66,7 +73,13 @@ def compress(signal, cfg: DrcConfig = DrcConfig(), state: DrcState | None = None
     x = as_samples(signal)
     if state is None:
         state = DrcState()
+    out = np.empty(len(x))
+    for i in range(0, len(x), _CHUNK):
+        out[i : i + _CHUNK] = _compress_chunk(x[i : i + _CHUNK], cfg, state)
+    return SignalBuffer(samples=out)
 
+
+def _compress_chunk(x: np.ndarray, cfg: DrcConfig, state: DrcState) -> np.ndarray:
     a_att = 1.0 - math.exp(-1.0 / (cfg.attack_ms * 16.0))
     a_rel = 1.0 - math.exp(-1.0 / (cfg.release_ms * 16.0))
     slope = 1.0 - 1.0 / cfg.ratio
@@ -90,4 +103,4 @@ def compress(signal, cfg: DrcConfig = DrcConfig(), state: DrcState | None = None
 
     env_db = 10.0 * np.log10(np.array(env) + _ENV_FLOOR)
     gain_db = np.minimum(0.0, (cfg.threshold_db - env_db) * slope) + cfg.makeup_db
-    return SignalBuffer(samples=x * 10.0 ** (gain_db / 20.0))
+    return x * 10.0 ** (gain_db / 20.0)

@@ -10,7 +10,8 @@ samples need: the analysis tail, the last complex frame, the backend's
 history, the frames still awaiting their heads, the one overlap-add carry
 of the three components and the compressor's follower.
 :func:`enhance` feeds a whole signal through it in fixed blocks, so its
-memory beyond the result does not grow with the input.
+memory beyond the result does not grow with the input;
+:func:`oracle_reconstruct` runs its fitted masks in the same blocks.
 
 Frames outside the backend's coverage (the first window minus lookahead,
 and the trailing lookahead) receive identity masks: direct passes the
@@ -41,7 +42,10 @@ MODES = ("causal-stream", "noncausal-window")
 # On 20 s of rt audio with the network stubbed out, blocks of 32, 64, 128,
 # 256 and 512 frames took a median 0.37, 0.32, 0.32, 0.34 and 0.37 s, and
 # the tracemalloc peak beyond the 10 MB result was 4, 6, 11, 22 and 43 MB.
-# 128 keeps a 1 s clip in one block.
+# 128 keeps a 1 s clip in one block. oracle_reconstruct runs in the same
+# blocks: on 20 s of rt, 32, 64, 128, 256 and 512 frames and one
+# whole-signal pass took a median 133, 119, 115, 116, 128 and 170 ms, with
+# 1.2, 2.4, 4.6, 9.1, 18.2 and 88.3 MiB beyond the 7.3 MiB result.
 _BLOCK_FRAMES = 128
 
 
@@ -132,7 +136,8 @@ class StreamingEnhancer:
         # frames r0..r1 finish in this call: those whose heads are due, and
         # at the end the rest; frames the backend never emits keep identity
         r0, r1 = max(n0 - la, 0), (n1 if final else max(n1 - la, 0))
-        grid = np.tile(IDENTITY_HEAD[:, None, None], (1, r1 - r0, self.cfg.in_bins))
+        grid = np.empty((len(IDENTITY_HEAD), r1 - r0, self.cfg.in_bins))
+        grid[...] = IDENTITY_HEAD[:, None, None]
         pending = self._pending
         if n1 > n0:
             spec = spectral.trim_low_bins(spectral.stft(buf, stft_cfg), n_trim)
@@ -221,12 +226,42 @@ def enhance(signal, weights: WeightSet, cfg: UNetConfig, stft_cfg: StftConfig,
 def oracle_reconstruct(truth, stft_cfg: StftConfig):
     """Reconstruct a simulated mixture's components through analytically
     fitted masks (untrimmed spectra); exactness of the mask algebra makes
-    this a near-perfect decomposition."""
+    this a near-perfect decomposition.
+
+    The signal runs in blocks of ``_BLOCK_FRAMES`` frames through one
+    overlap-add carry, so memory beyond the result does not grow with its
+    length; the result equals one whole-signal pass bit for bit.
+    """
     from .masking import oracle_fit
 
-    X = spectral.stft(truth.x, stft_cfg).bins
-    stack = np.empty((3, *X.shape), dtype=complex)
-    for row, y in zip(stack[::2], (truth.y_d, truth.y_n)):
-        assemble_masks(oracle_fit(X, spectral.stft(y, stft_cfg)), out=row)
-    quadrangle_decompose(X, stack)
-    return tuple(map(SignalBuffer, spectral.istft(stack, stft_cfg, length=len(truth.x))))
+    x, y_d, y_n = (as_samples(s) for s in (truth.x, truth.y_d, truth.y_n))
+    if not len(x) == len(y_d) == len(y_n):
+        raise ValueError(f"length mismatch: mixture {len(x)}, direct {len(y_d)}, "
+                         f"noise {len(y_n)} samples")
+    n_frames = stft_cfg.frame_count(len(x))
+    if n_frames == 0:
+        raise ValueError(f"insufficient samples: need at least {stft_cfg.window_size}, "
+                         f"got {len(x)}")
+    hop, window = stft_cfg.hop_size, stft_cfg.window_size
+    ola = spectral.OverlapAdd(stft_cfg)
+    out = None
+    for f0 in range(0, n_frames, _BLOCK_FRAMES):
+        f1 = min(f0 + _BLOCK_FRAMES, n_frames)
+        # the STFT of this span is frames f0..f1-1 of the whole signal's
+        span = slice(f0 * hop, (f1 - 1) * hop + window)
+        X = spectral.stft(x[span], stft_cfg).bins
+        stack = np.empty((3, *X.shape), dtype=complex)
+        for row, y in zip(stack[::2], (y_d, y_n)):
+            assemble_masks(oracle_fit(X, spectral.stft(y[span], stft_cfg)), out=row)
+        quadrangle_decompose(X, stack)
+        part = spectral.istft(stack, stft_cfg, carry=ola)
+        if out is None:
+            # allocated after the first block's peak, as enhance() does: allocated
+            # before it, each 2 s oracle-rt-drc operation took 1093 minor page
+            # faults instead of 7
+            out = np.empty((3, len(x)))
+        out[:, f0 * hop : f1 * hop] = part
+    end = (n_frames - 1) * hop + window  # no frame reaches the samples after it
+    out[:, n_frames * hop : end] = ola.finish()
+    out[:, end:] = 0.0
+    return tuple(map(SignalBuffer, out))

@@ -1,4 +1,6 @@
+import copy
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trimask import DrcConfig, compress
-from trimask.dynamics import DrcState
+from trimask.dynamics import _CHUNK, _ENV_FLOOR, _POWER_WINDOW, DrcState
 
 
 def test_ratio_one_is_pure_makeup():
@@ -101,3 +103,72 @@ def test_block_splits_equal_the_whole_signal_exactly(seed, cuts):
     state = DrcState()
     blocks = [compress(b, cfg, state).samples for b in np.split(x, sorted(cuts))]
     assert np.array_equal(np.concatenate(blocks), compress(x, cfg).samples)
+
+
+def _one_loop_compress(x, cfg, state):
+    """compress as one pass over the whole signal, the reference its chunks
+    must equal bit for bit."""
+    a_att = 1.0 - math.exp(-1.0 / (cfg.attack_ms * 16.0))
+    a_rel = 1.0 - math.exp(-1.0 / (cfg.release_ms * 16.0))
+    slope = 1.0 - 1.0 / cfg.ratio
+    carried = len(state.csum)
+    sq = np.concatenate([state.csum[-1:], x * x])
+    csum = np.concatenate([state.csum[:-1], np.cumsum(sq)])
+    end = np.arange(carried, carried + len(x))
+    start = np.maximum(end - _POWER_WINDOW, 0)
+    power = (csum[end] - csum[start]) / (end - start)
+    state.csum = csum[-(_POWER_WINDOW + 1):]
+    env = []
+    e = state.env
+    for p in power.tolist():
+        e += (a_att if p > e else a_rel) * (p - e)
+        env.append(e)
+    state.env = e
+    env_db = 10.0 * np.log10(np.array(env) + _ENV_FLOOR)
+    gain_db = np.minimum(0.0, (cfg.threshold_db - env_db) * slope) + cfg.makeup_db
+    return x * 10.0 ** (gain_db / 20.0)
+
+
+_CONFIGS = (DrcConfig(), DrcConfig(ratio=1.0, makeup_db=6.0), DrcConfig(ratio=4.0),
+            DrcConfig(threshold_db=-24.0, ratio=4.0, attack_ms=1.0, release_ms=10.0))
+# 0 samples, each sample around a chunk boundary, and past three chunks
+_CHUNK_EDGES = [0] + [k * _CHUNK + d for k in (1, 2, 3) for d in (-1, 0, 1)] + [3 * _CHUNK + 100]
+
+
+def _check_against_one_pass(seed, n, cfg, carried):
+    # `carried` samples go through the state before the signal
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-0.9, 0.9, carried + n) * np.linspace(0.0, 1.0, carried + n)
+    state = DrcState()
+    compress(x[:carried], cfg, state)
+    ref_state = copy.deepcopy(state)
+    out = compress(x[carried:], cfg, state).samples
+    assert np.array_equal(out, _one_loop_compress(x[carried:], cfg, ref_state))
+    assert state.env == ref_state.env and np.array_equal(state.csum, ref_state.csum)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**16), n=st.integers(0, _CHUNK_EDGES[-1]),
+       cfg=st.sampled_from(_CONFIGS), carried=st.sampled_from([0, 1, 5, _POWER_WINDOW, 3000]))
+def test_chunks_equal_one_pass_over_the_signal_exactly(seed, n, cfg, carried):
+    _check_against_one_pass(seed, n, cfg, carried)
+
+
+@pytest.mark.parametrize("cfg", _CONFIGS)
+def test_chunks_equal_one_pass_over_the_signal_exactly_at_chunk_edges(cfg):
+    for i, n in enumerate(_CHUNK_EDGES):
+        _check_against_one_pass(i, n, cfg, carried=(0, 40)[i % 2])
+
+
+def test_memory_does_not_grow_with_length():
+    # tracemalloc peak beyond the output's own bytes, at 4 s and at 16 s
+    x = np.random.default_rng(0).uniform(-0.9, 0.9, 16 * 16000)
+    extra = []
+    for seconds in (4, 16):
+        tracemalloc.start()
+        out = compress(x[: seconds * 16000], DrcConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        extra.append(peak - out.samples.nbytes)
+        del out
+    assert extra[1] <= 1.5 * extra[0], extra

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trimask import (ConvSpec, DrcConfig, StftConfig, StreamingEnhancer, UNetConfig,
-                     WeightSet, enhance, istft, oracle_reconstruct, random_weights,
+from trimask import (ConvSpec, DrcConfig, MixtureTruth, SignalBuffer, StftConfig,
+                     StreamingEnhancer, UNetConfig, WeightSet, assemble_masks, enhance, istft,
+                     oracle_fit, oracle_reconstruct, quadrangle_decompose, random_weights,
                      restore_low_bins, sample_scenario, si_sdr, stft, trim_low_bins)
+from trimask.enhance import _BLOCK_FRAMES
 from trimask.masking import LOGIT_CLAMP
 from trimask.spectral import NRT_PRESET, RT_PRESET
 from trimask.unet import config_for_preset
@@ -398,6 +400,91 @@ def test_enhance_memory_does_not_grow_with_length():
         tracemalloc.stop()
         extra.append(peak - sum(getattr(result, c).samples.nbytes for c in COMPONENTS))
         del result
+    assert extra[1] <= 1.5 * extra[0], extra
+
+
+def _random_truth(seed, n):
+    rng = np.random.default_rng(seed)
+    y_d, y_r, y_n = rng.uniform(-0.5, 0.5, (3, n)) * np.linspace(0.2, 1.0, n)
+    return MixtureTruth(x=SignalBuffer(y_d + y_r + y_n), y_d=SignalBuffer(y_d),
+                        y_r=SignalBuffer(y_r), y_n=SignalBuffer(y_n), snr_db=0.0)
+
+
+def _one_shot_oracle_reconstruct(truth, stft_cfg):
+    """oracle_reconstruct as one whole-signal pass, the reference its blocks
+    must equal bit for bit."""
+    X = stft(truth.x, stft_cfg).bins
+    stack = np.empty((3, *X.shape), dtype=complex)
+    for row, y in zip(stack[::2], (truth.y_d, truth.y_n)):
+        assemble_masks(oracle_fit(X, stft(y, stft_cfg)), out=row)
+    quadrangle_decompose(X, stack)
+    return istft(stack, stft_cfg, length=len(truth.x))
+
+
+def _block_edges(stft_cfg):
+    """One window, each length within one sample of completing a block's
+    last frame or the next block's first frame, and past three blocks."""
+    hop, window = stft_cfg.hop_size, stft_cfg.window_size
+    return [window] + [k * _BLOCK_FRAMES * hop + window + d for k in (1, 2, 3)
+                       for d in (-hop - 1, -hop, -hop + 1, -1, 0, 1)] + [
+        (3 * _BLOCK_FRAMES + 2) * hop + window]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data(), seed=st.integers(0, 2**16))
+@pytest.mark.parametrize("stft_cfg", [RT_PRESET, NRT_PRESET], ids=["rt", "nrt"])
+def test_oracle_reconstruct_blocks_equal_one_whole_signal_pass(stft_cfg, data, seed):
+    edges = _block_edges(stft_cfg)
+    truth = _random_truth(seed, data.draw(st.integers(edges[0], edges[-1])))
+    got = np.stack([s.samples for s in oracle_reconstruct(truth, stft_cfg)])
+    assert np.array_equal(got, _one_shot_oracle_reconstruct(truth, stft_cfg))
+
+
+@pytest.mark.parametrize("stft_cfg", [RT_PRESET, NRT_PRESET], ids=["rt", "nrt"])
+def test_oracle_reconstruct_blocks_equal_one_whole_signal_pass_at_block_edges(stft_cfg):
+    for n in _block_edges(stft_cfg):
+        truth = _random_truth(n, n)
+        got = np.stack([s.samples for s in oracle_reconstruct(truth, stft_cfg)])
+        assert np.array_equal(got, _one_shot_oracle_reconstruct(truth, stft_cfg)), n
+
+
+@pytest.mark.parametrize("target", ["y_d", "y_n"])
+@pytest.mark.parametrize("delta", [-1, 1, 4000])
+def test_oracle_reconstruct_rejects_unequal_lengths_before_stft(monkeypatch, target, delta):
+    import trimask.spectral
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("spectral.stft reached with unequal lengths")
+
+    truth = _random_truth(0, 8000)
+    setattr(truth, target, SignalBuffer(_random_truth(1, 8000 + delta).x))
+    monkeypatch.setattr(trimask.spectral, "stft", unreachable)
+    with pytest.raises(ValueError, match=f"length mismatch: .*{8000 + delta}"):
+        oracle_reconstruct(truth, RT_PRESET)
+
+
+def test_oracle_reconstruct_rejects_signals_shorter_than_a_window(monkeypatch):
+    import trimask.spectral
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("spectral.stft reached with a short signal")
+
+    monkeypatch.setattr(trimask.spectral, "stft", unreachable)
+    with pytest.raises(ValueError, match="insufficient samples: need at least 512, got 511"):
+        oracle_reconstruct(_random_truth(0, 511), RT_PRESET)
+
+
+def test_oracle_reconstruct_memory_does_not_grow_with_length():
+    # tracemalloc peak beyond the result's own bytes, at 4 s and at 16 s
+    extra = []
+    for seconds in (4, 16):
+        truth = _random_truth(2, seconds * 16000)
+        tracemalloc.start()
+        parts = oracle_reconstruct(truth, RT_PRESET)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        extra.append(peak - sum(p.samples.nbytes for p in parts))
+        del parts
     assert extra[1] <= 1.5 * extra[0], extra
 
 
